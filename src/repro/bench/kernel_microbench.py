@@ -11,9 +11,8 @@ implementation (including its per-level ``astype`` adjacency copy and
   compaction, Central-Node identification, expansion and the
   incremental finite-count update, eliminating the per-level Python
   orchestration round trips;
-* **warm pool / batched** — serving-side entries: the persistent
-  pinned process pool (Tnum sweep, cold spawn vs. warm reuse) and the
-  cross-query coalesced lane matrix.
+* **warm pool** — the serving-side entry: the persistent pinned
+  process pool (Tnum sweep, cold spawn vs. warm reuse).
 
 Every side reports a per-phase breakdown (expansion vs. level
 orchestration vs. scoring/Central-Graph extraction) so the payload
@@ -376,77 +375,6 @@ def _warm_pool_entry(
     }
 
 
-def _batched_entry(
-    dataset: BenchDataset,
-    queries: List[str],
-    topk: int,
-    repeats: int,
-    solo_signatures: list,
-) -> Dict[str, object]:
-    """Cross-query coalesced batch vs. one-query-at-a-time wall clock.
-
-    Besides wall clock, both sides report their expansion and scoring
-    phase sums: coalescing shares *expansion* work across queries but
-    still scores every query separately, so when ``speedup`` dips below
-    1 the phase columns show whether scoring overhead ate the shared
-    expansion win (the ROADMAP 3c diagnosis) or expansion itself
-    regressed.
-    """
-    engine = KeywordSearchEngine(
-        dataset.graph,
-        backend=VectorizedBackend(),
-        index=dataset.index,
-        weights=dataset.weights,
-        average_distance=dataset.distance.average,
-        config=EngineConfig(topk=topk),
-    )
-
-    def phase_sums(timers) -> "tuple[float, float]":
-        expansion = sum(t.get(PHASE_EXPANSION) for t in timers) * 1e3
-        scoring = sum(t.get(PHASE_TOP_DOWN) for t in timers) * 1e3
-        return expansion, scoring
-
-    solo_best = float("inf")
-    solo_expansion_ms = solo_scoring_ms = 0.0
-    for repeat in range(repeats):
-        start = time.perf_counter()
-        results = [engine.search(query, k=topk) for query in queries]
-        solo_best = min(solo_best, time.perf_counter() - start)
-        if repeat == 0:
-            solo_expansion_ms, solo_scoring_ms = phase_sums(
-                [result.timer for result in results]
-            )
-
-    coalesced_best = float("inf")
-    coalesced_expansion_ms = coalesced_scoring_ms = 0.0
-    batch_signatures: list = []
-    for repeat in range(repeats):
-        start = time.perf_counter()
-        results, _failures = engine.search_coalesced(queries, k=topk)
-        coalesced_best = min(coalesced_best, time.perf_counter() - start)
-        if repeat == 0:
-            batch_signatures = [
-                _answer_signature(result) if result is not None else None
-                for result in results
-            ]
-            coalesced_expansion_ms, coalesced_scoring_ms = phase_sums(
-                [result.timer for result in results if result is not None]
-            )
-    solo_ms = solo_best * 1e3
-    coalesced_ms = coalesced_best * 1e3
-    return {
-        "n_queries": len(queries),
-        "solo_ms": solo_ms,
-        "coalesced_ms": coalesced_ms,
-        "expansion_ms": coalesced_expansion_ms,
-        "scoring_ms": coalesced_scoring_ms,
-        "solo_expansion_ms": solo_expansion_ms,
-        "solo_scoring_ms": solo_scoring_ms,
-        "speedup": solo_ms / coalesced_ms if coalesced_ms > 0 else float("inf"),
-        "answers_identical": batch_signatures == solo_signatures,
-    }
-
-
 def run_kernel_microbench(
     scale: str = "wiki2018",
     knum: int = 8,
@@ -460,8 +388,7 @@ def run_kernel_microbench(
     """Measure the expansion-tier ladder on one workload.
 
     Sides: seed per-column baseline, PR-2 fused step path, whole-level
-    kernel path, plus the warm-pool Tnum sweep and the coalesced batch
-    entry (see module docstring).
+    kernel path, plus the warm-pool Tnum sweep (see module docstring).
 
     Args:
         scale: ``wiki2017`` / ``wiki2018`` / ``tiny`` (smoke tests).
@@ -540,9 +467,6 @@ def run_kernel_microbench(
         warm_pool = _warm_pool_entry(
             dataset, queries, topk, repeats, tuple(pool_tnums)
         )
-    batched = _batched_entry(
-        dataset, queries, topk, repeats, whole_signatures
-    )
 
     speedup = (
         baseline["expansion_ms"] / fused["expansion_ms"]
@@ -568,7 +492,6 @@ def run_kernel_microbench(
         "baseline": baseline,
         "fused": fused,
         "whole_level": whole_level,
-        "batched": batched,
         "speedup_expansion": speedup,
         "speedup_whole_level": speedup_whole,
         "answers_identical": answers_identical,
@@ -734,22 +657,6 @@ def validate_payload(payload: Dict[str, object]) -> None:
             raise ValueError(f"{key} must be positive")
     if not isinstance(payload.get("answers_identical"), bool):
         raise ValueError("answers_identical must be a bool")
-    batched = payload.get("batched")
-    if not isinstance(batched, dict):
-        raise ValueError("batched must be a dict")
-    for key in (
-        "solo_ms",
-        "coalesced_ms",
-        "expansion_ms",
-        "scoring_ms",
-        "solo_expansion_ms",
-        "solo_scoring_ms",
-    ):
-        value = batched.get(key)
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(f"batched.{key} must be non-negative")
-    if not isinstance(batched.get("answers_identical"), bool):
-        raise ValueError("batched.answers_identical must be a bool")
     if "mmap_store" in payload:
         mmap_store = payload["mmap_store"]
         if not isinstance(mmap_store, dict):
@@ -857,29 +764,6 @@ def format_report(payload: Dict[str, object]) -> str:
         lines.append(
             f"  warm pool sweep ({warm_pool['host_cpus']} host cpus): "
             f"{sweep}"
-        )
-    batched = payload["batched"]
-    lines.append(
-        f"  coalesced batch: {batched['coalesced_ms']:.1f}ms vs solo "  # type: ignore[index]
-        f"{batched['solo_ms']:.1f}ms ({batched['speedup']:.2f}x), "  # type: ignore[index]
-        f"answers identical: {batched['answers_identical']}"  # type: ignore[index]
-    )
-    speedup = batched.get("speedup")  # type: ignore[union-attr]
-    if isinstance(speedup, (int, float)) and speedup < 1:
-        expansion = batched.get("expansion_ms", 0.0)  # type: ignore[union-attr]
-        scoring = batched.get("scoring_ms", 0.0)  # type: ignore[union-attr]
-        solo_scoring = batched.get("solo_scoring_ms", 0.0)  # type: ignore[union-attr]
-        culprit = (
-            "scoring overhead"
-            if scoring - solo_scoring >= expansion
-            else "expansion"
-        )
-        lines.append(
-            f"  WARN: coalesced batching is a regression here "
-            f"({speedup:.2f}x < 1): {culprit} dominates "
-            f"(coalesced expansion {expansion:.1f}ms, scoring "
-            f"{scoring:.1f}ms vs solo scoring {solo_scoring:.1f}ms) "
-            f"— see ROADMAP 3c"
         )
     mmap_store = payload.get("mmap_store")
     if isinstance(mmap_store, dict):

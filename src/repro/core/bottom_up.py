@@ -29,7 +29,6 @@ from ..instrumentation import (
     PhaseTimer,
 )
 from ..graph.csr import KnowledgeGraph
-from ..obs.config import whole_level_enabled
 from ..obs.tracing import NULL_CONTEXT, NULL_TRACER, Tracer
 from ..parallel.backend import ExpansionBackend, LevelOutcome
 from ..parallel.sequential import SequentialBackend
@@ -188,19 +187,18 @@ class BottomUpSearch:
         degree_array = self.graph.adj.degree_array
         # Whole-level fast path: backends exposing ``run_level`` execute
         # the three joined per-level steps in one call (a single C pass
-        # on the native tier); ``REPRO_WHOLE_LEVEL=0`` pins the classic
-        # loop. The per-call time lands in the expansion phase — the
-        # enqueue/identify orchestration it absorbs is exactly the
+        # on the native tier); the classic step loop serves backends
+        # without one. The per-call time lands in the expansion phase —
+        # the enqueue/identify orchestration it absorbs is exactly the
         # overhead the fused level eliminates.
         run_level = getattr(self.backend, "run_level", None)
-        use_whole_level = run_level is not None and whole_level_enabled()
         while level <= self.lmax:
             level_ctx = (
                 tracer.span("level", level=level) if trace_on else NULL_CONTEXT
             )
             with level_ctx as level_span:
                 outcome: Optional[LevelOutcome] = None
-                if use_whole_level:
+                if run_level is not None:
                     with timer.phase(PHASE_EXPANSION):
                         outcome = run_level(
                             self.graph, state, level, k, level < self.lmax

@@ -275,7 +275,7 @@ def extract_central_graph(
         # Native whole-graph closure: all contributing columns walked in
         # one C call against the stacked DAG, with scratch buffers
         # reused across Central Nodes (per thread). Produces the same
-        # node and edge sets as the per-column tiers below.
+        # node and edge sets as the NumPy walk below.
         closure_nodes, pairs = bulk
         nodes.update(map(int, closure_nodes.tolist()))
         if len(pairs):
@@ -283,48 +283,6 @@ def extract_central_graph(
             keys = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1])
             edge_preds, edge_targets = np.divmod(keys, np.int64(n))
             edges.update(zip(edge_preds.tolist(), edge_targets.tolist()))
-    elif getattr(dag, "_kernel", None) is not None:
-        # Native closure: one C DFS per contributing keyword column,
-        # emitting the closure's nodes and (pred, target) edges in bulk;
-        # cross-column dedup happens on flat int64 edge keys instead of
-        # per-level Python set updates. Produces the same node and edge
-        # sets as the NumPy walk below.
-        n = graph.n_nodes
-        kernel = dag._kernel
-        visited = np.zeros(n, dtype=np.uint8)
-        scratch = np.empty(n, dtype=np.int64)
-        out_nodes = np.empty(n, dtype=np.int64)
-        n_out = np.zeros(2, dtype=np.int64)
-        node_parts: List[np.ndarray] = []
-        pair_parts: List[np.ndarray] = []
-        for column in range(n_keywords):
-            if matrix[central_node, column] == 0:
-                continue
-            indptr, preds = dag.column_arrays(column)
-            out_pairs = np.empty(2 * max(len(preds), 1), dtype=np.int64)
-            n_nodes, n_pairs = kernel.extract_closure(
-                indptr,
-                preds,
-                central_node,
-                visited,
-                scratch,
-                out_nodes,
-                out_pairs,
-                n_out,
-            )
-            closure_nodes = out_nodes[:n_nodes]
-            visited[closure_nodes] = 0
-            node_parts.append(closure_nodes.copy())
-            pair_parts.append(out_pairs[: 2 * n_pairs].copy())
-        if node_parts:
-            nodes.update(map(int, np.unique(np.concatenate(node_parts))))
-        if pair_parts:
-            pairs = np.concatenate(pair_parts).reshape(-1, 2)
-            keys = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1])
-            edge_preds, edge_targets = np.divmod(keys, np.int64(n))
-            edges.update(
-                zip(edge_preds.tolist(), edge_targets.tolist())
-            )
     else:
         # Per keyword, the Central Graph's contribution is the backward
         # closure from the Central Node over that keyword's hitting DAG.

@@ -25,8 +25,6 @@ registration):
   :mod:`repro.parallel._native`, driven by :mod:`repro.analysis.sanitize`.
 * ``REPRO_DATASET_CACHE`` — dataset cache directory override for the
   benchmark harness; owned by :mod:`repro.bench.datasets`.
-* ``REPRO_WHOLE_LEVEL`` — ``0`` pins the classic per-step bottom-up
-  loop instead of the fused whole-level fast path.
 * ``REPRO_POOL_PERSIST`` — ``0`` disables the persistent (warm) process
   pool; each ``ProcessPoolBackend`` then owns a fresh pool.
 * ``REPRO_POOL_WORKERS`` — worker-count override for the persistent
@@ -71,12 +69,6 @@ ENV_SANITIZE = "REPRO_SANITIZE"
 #: Owned by :mod:`repro.bench.datasets` (``CACHE_ENV_VAR``; a test pins
 #: the equality).
 ENV_DATASET_CACHE = "REPRO_DATASET_CACHE"
-
-#: Whole-level fast-path switch: ``REPRO_WHOLE_LEVEL=0`` pins the
-#: classic per-step bottom-up loop (enqueue / identify / expand as
-#: separate Python phases) even for backends that implement
-#: ``run_level``. Read by :class:`repro.core.bottom_up.BottomUpSearch`.
-ENV_WHOLE_LEVEL = "REPRO_WHOLE_LEVEL"
 
 #: Persistent worker-pool switch: ``REPRO_POOL_PERSIST=0`` makes
 #: :class:`repro.parallel.processes.ProcessPoolBackend` spawn a fresh
@@ -159,11 +151,6 @@ def sanitize_value() -> str:
 def dataset_cache_dir() -> Optional[str]:
     """The ``REPRO_DATASET_CACHE`` directory override, or ``None``."""
     return os.environ.get(ENV_DATASET_CACHE) or None
-
-
-def whole_level_enabled() -> bool:
-    """True unless ``REPRO_WHOLE_LEVEL=0`` pins the classic loop."""
-    return os.environ.get(ENV_WHOLE_LEVEL, "1") != "0"
 
 
 def pool_persist_enabled() -> bool:

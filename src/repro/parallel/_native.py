@@ -1,10 +1,12 @@
-"""On-demand compiled native tier of the fused expansion kernel.
+"""On-demand compiled native tier of the fused expansion and extraction
+kernels.
 
 The paper's CPU engine is native code; a NumPy reproduction pays an
 interpreter-dispatch and memory-traffic tax on every whole-array pass.
 This module closes most of that gap without adding a build step or a
 dependency: ``_kernel.c`` (the same byte-lane algorithm as the NumPy
-kernel, one C loop instead of ~15 array passes) is compiled once per
+kernel, one C loop instead of ~15 array passes, plus stage two's
+hitting-DAG build and Central Graph extraction) is compiled once per
 source hash with whatever system C compiler is available and loaded
 through :mod:`ctypes`.
 
@@ -153,9 +155,10 @@ class NativeKernel:
 
     Exposes the per-chunk ``fused_expand``, the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call) and the cross-query ``fused_expand_lanes``.
-    Every call releases the GIL, so concurrent chunk expansions
-    (``ThreadPoolBackend``) overlap on real cores.
+    fused into one call), and stage two's ``build_hitting_dag`` and
+    per-Central-Node ``extract_graph``. Every call releases the GIL, so
+    concurrent chunk expansions (``ThreadPoolBackend``) overlap on real
+    cores.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
@@ -226,20 +229,6 @@ class NativeKernel:
         ]
         self._dag = dag
 
-        closure = library.extract_closure
-        closure.restype = None
-        closure.argtypes = [
-            i64,  # indptr
-            i64,  # preds
-            ctypes.c_int64,  # central
-            u8,  # visited
-            i64,  # stack
-            i64,  # out_nodes
-            i64,  # out_pairs
-            i64,  # n_out
-        ]
-        self._closure = closure
-
         graph_closure = library.extract_graph
         graph_closure.restype = None
         graph_closure.argtypes = [
@@ -259,25 +248,6 @@ class NativeKernel:
             i64,  # n_out
         ]
         self._graph_closure = graph_closure
-
-        lanes = library.fused_expand_lanes
-        lanes.restype = ctypes.c_int64
-        lanes.argtypes = [
-            ctypes.c_int64,  # n_chunk
-            i64,  # chunk
-            u64,  # se_words
-            ctypes.c_int64,  # n_words
-            i64,  # indptr
-            i32,  # indices
-            u8,  # matrix
-            ctypes.c_void_p,  # kw_words (nullable)
-            i32,  # activation
-            u8,  # fid
-            ctypes.c_uint8,  # next_level
-            i64,  # out_keys
-            i64,  # out_counts
-        ]
-        self._lanes = lanes
 
     def expand(
         self,
@@ -404,34 +374,6 @@ class NativeKernel:
             out_counts,
         )
 
-    def extract_closure(
-        self,
-        indptr: np.ndarray,
-        preds: np.ndarray,
-        central: int,
-        visited: np.ndarray,
-        stack: np.ndarray,
-        out_nodes: np.ndarray,
-        out_pairs: np.ndarray,
-        n_out: np.ndarray,
-    ) -> "tuple[int, int]":
-        """Backward closure of one Central Node over one column's DAG.
-
-        Returns ``(n_nodes, n_pairs)``; ``out_nodes`` holds the closure
-        nodes and ``out_pairs`` the interleaved (pred, target) edges.
-        """
-        self._closure(
-            indptr,
-            preds,
-            central,
-            visited,
-            stack,
-            out_nodes,
-            out_pairs,
-            n_out,
-        )
-        return int(n_out[0]), int(n_out[1])
-
     def extract_graph(
         self,
         indptr_all: np.ndarray,
@@ -474,46 +416,6 @@ class NativeKernel:
             n_out,
         )
         return int(n_out[0]), int(n_out[1])
-
-    def expand_lanes(
-        self,
-        chunk: np.ndarray,
-        se_words: np.ndarray,
-        n_words: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        matrix_flat: np.ndarray,
-        kw_words: Optional[np.ndarray],
-        activation: np.ndarray,
-        f_identifier: np.ndarray,
-        next_level: int,
-        out_keys: np.ndarray,
-        out_counts: np.ndarray,
-    ) -> int:
-        """Cross-query widened expansion; returns the unique-key count.
-
-        ``out_counts`` (int64, length >= 3) receives ``[pairs_hit,
-        duplicates_elided, retries]``.
-        """
-        kw_ptr = kw_words.ctypes.data if kw_words is not None else None
-        return int(
-            self._lanes(
-                len(chunk),
-                chunk,
-                se_words,
-                n_words,
-                indptr,
-                indices,
-                matrix_flat,
-                kw_ptr,
-                activation,
-                f_identifier,
-                next_level,
-                out_keys,
-                out_counts,
-            )
-        )
-
 
 def enabled() -> bool:
     """Native tier not vetoed by the environment."""

@@ -499,9 +499,6 @@ class VectorizedBackend(ExpansionBackend):
         self.pull_ratio = pull_ratio
         self.native = native
         self.last_counters: Optional[KernelCounters] = None
-        # Reusable whole-level output buffers (frontier, central, stats),
-        # sized to the current graph on first use.
-        self._level_buffers: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]" = None
 
     def _should_pull(
         self, graph: KnowledgeGraph, state: SearchState, level: int
@@ -596,14 +593,12 @@ class VectorizedBackend(ExpansionBackend):
         if kernel is None:
             return self._run_level_numpy(graph, state, level, k, may_expand)
 
+        # Output buffers are per call: the kernel releases the GIL, so
+        # one backend serving concurrent searches must not share them.
         n = state.n_nodes
-        if self._level_buffers is None or len(self._level_buffers[0]) != n:
-            self._level_buffers = (
-                np.empty(n, dtype=np.int64),
-                np.empty(n, dtype=np.int64),
-                np.zeros(8, dtype=np.int64),
-            )
-        frontier_out, central_out, stats = self._level_buffers
+        frontier_out = np.empty(n, dtype=np.int64)
+        central_out = np.empty(n, dtype=np.int64)
+        stats = np.zeros(8, dtype=np.int64)
         adj = graph.adj
         may_block = int(state.activation.max()) > level + 1
         kernel.whole_level(

@@ -702,7 +702,7 @@ def test_tsan_suppression_audit_clean_and_policy_enforced(monkeypatch):
     assert sanitize.audit_suppressions() == []
     # Every entry maps to a declared idempotent write site by name.
     sites = sanitize.declared_idempotent_sites()
-    assert "fused_expand" in sites and "fused_expand_lanes" in sites
+    assert "fused_expand" in sites
 
     # A blanket suppression violates the policy.
     monkeypatch.setattr(

@@ -1,5 +1,7 @@
 """End-to-end KeywordSearchEngine behaviour."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,98 @@ def test_config_defaults_applied(tiny_kb):
     )
     result = engine.search("machine learning data")
     assert len(result.answers) <= 2
+
+
+class _RendezvousKernel:
+    """Native kernel proxy: after each whole-level call, wait for the
+    other searching thread's call before returning, so both C calls have
+    written their outputs before either side reads them. One core rarely
+    preempts a thread inside the GIL-free kernel; this forces the overlap
+    two cores produce. A finished thread aborts the barrier, after which
+    calls stop waiting."""
+
+    def __init__(self, kernel, barrier):
+        self._kernel = kernel
+        self._barrier = barrier
+
+    def whole_level(self, *args):
+        n_frontier = self._kernel.whole_level(*args)
+        try:
+            self._barrier.wait(timeout=30)
+        except threading.BrokenBarrierError:
+            pass
+        return n_frontier
+
+
+class _RendezvousBackend(VectorizedBackend):
+    def __init__(self, barrier):
+        super().__init__()
+        self._barrier = barrier
+
+    def _whole_level_native(self, state):
+        kernel = super()._whole_level_native(state)
+        if kernel is None:
+            return None
+        return _RendezvousKernel(kernel, self._barrier)
+
+
+def test_concurrent_searches_on_one_native_engine_match_solo(tiny_kb):
+    """Two threads searching one engine must each get the solo answers
+    (regression: the whole-level output buffers were shared across
+    calls while the native kernel runs without the GIL)."""
+    from repro.parallel.vectorized import _native_kernel
+
+    if _native_kernel() is None:
+        pytest.skip("native kernel unavailable")
+    graph, _ = tiny_kb
+    queries = [
+        "machine learning data",
+        "knowledge graph query",
+        "database xml",
+        "neural network vision",
+        "graph data mining",
+        "query processing sql",
+    ]
+    solo_engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+
+    def signature(result):
+        return [
+            (
+                a.graph.central_node,
+                a.graph.depth,
+                sorted(a.graph.nodes),
+                sorted(a.graph.edges),
+                a.score,
+            )
+            for a in result.answers
+        ]
+
+    expected = {q: signature(solo_engine.search(q, k=5)) for q in queries}
+    start = threading.Barrier(2)
+    level = threading.Barrier(2)
+    engine = KeywordSearchEngine(graph, backend=_RendezvousBackend(level))
+    wrong = []
+    errors = []
+
+    def client(order):
+        try:
+            start.wait(timeout=30)
+            for query in order:
+                if signature(engine.search(query, k=5)) != expected[query]:
+                    wrong.append(query)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            level.abort()
+
+    threads = [
+        threading.Thread(target=client, args=(queries,)),
+        threading.Thread(target=client, args=(queries[::-1],)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert wrong == []

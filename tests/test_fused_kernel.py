@@ -161,8 +161,8 @@ def test_microbench_whole_level_row(tiny_payload):
     phases = whole["phases"]
     assert phases["total_ms"] >= phases["expansion_ms"]
     # Whole-level answers matched the seed baseline (folded into the
-    # payload-level flag) and the batched entry matched whole-level.
-    assert tiny_payload["batched"]["answers_identical"] is True
+    # payload-level flag).
+    assert tiny_payload["answers_identical"] is True
     assert tiny_payload["speedup_whole_level"] > 0
 
 
@@ -205,7 +205,7 @@ def test_microbench_payload_roundtrip(tiny_payload, tmp_path):
         ({"answers_identical": "yes"}, "answers_identical"),
         ({"native_kernel": 1}, "native_kernel"),
         ({"whole_level": {}}, "whole_level"),
-        ({"batched": "fast"}, "batched"),
+        ({"mmap_store": "fast"}, "mmap_store"),
         ({"warm_pool": {"sweep": []}}, "warm_pool"),
     ],
 )

@@ -1,0 +1,107 @@
+"""Stage two, native vs. NumPy: identical ranked answers.
+
+``process_top_down`` has two tiers: the compiled hitting-DAG build plus
+one ``extract_graph`` call per Central Node (``native=None``), and the
+NumPy DAG build plus per-level extraction walk (``native=False``). Both
+run here on the same bottom-up state, fuzzed over graph seeds, k, λ and
+the ablation flags, and must rank the same Central Graphs with the same
+depth, node set, edge set and exact Eq. 6 score.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.core.bottom_up import BottomUpSearch
+from repro.core.top_down import HittingDAG, TopDownConfig, process_top_down
+from repro.core.weights import node_weights
+from repro.graph.generators import WikiKBConfig, random_graph, wiki_like_kb
+from repro.parallel import VectorizedBackend
+from repro.parallel.vectorized import _native_kernel
+
+from conftest import zero_activation
+
+pytestmark = pytest.mark.skipif(
+    _native_kernel() is None, reason="native kernel unavailable"
+)
+
+FLAGS = list(itertools.product([True, False], repeat=3))
+
+
+def _graph(seed: int):
+    if seed % 3 == 2:
+        return random_graph(90, 360, seed=seed)
+    config = WikiKBConfig(
+        name=f"stage-two-{seed}",
+        seed=seed,
+        n_papers=60,
+        n_people=30,
+        n_misc=30,
+        n_venues=8,
+        n_orgs=8,
+    )
+    graph, _ = wiki_like_kb(config)
+    return graph
+
+
+def _bottom_up(graph, rng):
+    n = graph.n_nodes
+    q = int(rng.integers(2, 7))
+    sets = [
+        np.unique(rng.integers(0, n, size=int(rng.integers(1, 6))))
+        for _ in range(q)
+    ]
+    if rng.random() < 0.5:
+        activation = rng.integers(0, 4, size=n).astype(np.int32)
+    else:
+        activation = zero_activation(graph)
+    central_k = int(rng.integers(5, 40))
+    return BottomUpSearch(graph, backend=VectorizedBackend()).run(
+        sets, activation, central_k
+    )
+
+
+def _ranked(graph, state, weights, native, **knobs):
+    return [
+        (
+            answer.central_node,
+            answer.depth,
+            sorted(answer.nodes),
+            sorted(answer.edges),
+            answer.score,
+        )
+        for answer in process_top_down(
+            graph, state, weights, config=TopDownConfig(native=native, **knobs)
+        )
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_native_stage_two_matches_numpy(seed):
+    graph = _graph(seed)
+    weights = node_weights(graph)
+    rng = np.random.default_rng(seed * 31 + 7)
+    result = _bottom_up(graph, rng)
+    state = result.state
+    if not state.central_nodes:
+        pytest.skip("fuzzed query found no Central Node")
+    # The native side must really take the compiled path.
+    assert HittingDAG(graph, state).extract_native(
+        state.central_nodes[0][0]
+    ) is not None
+
+    k = int(rng.integers(1, len(state.central_nodes) + 2))
+    lam = float(rng.choice([0.0, 0.2, 0.5, 1.0, 2.0]))
+    for level_cover, deduplicate, single_path in FLAGS:
+        knobs = dict(
+            k=k,
+            lam=lam,
+            apply_level_cover=level_cover,
+            deduplicate=deduplicate,
+            single_path=single_path,
+        )
+        native = _ranked(graph, state, weights, None, **knobs)
+        numpy = _ranked(graph, state, weights, False, **knobs)
+        assert native == numpy, knobs
+        assert native

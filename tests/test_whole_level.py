@@ -5,8 +5,8 @@ frontier compaction, Central-Node identification, expansion and the
 incremental finite-count update into one native call (or an equivalent
 NumPy composition). Algorithm 1's loop semantics must be preserved
 *exactly*: these tests pin the native path, the NumPy fallback and the
-classic step-by-step loop (``REPRO_WHOLE_LEVEL=0``) to bitwise-equal
-states, and pin the native/NumPy work-counter parity (the
+classic step-by-step loop (a backend without ``run_level``) to
+bitwise-equal states, and pin the native/NumPy work-counter parity (the
 ``duplicates_elided`` regression: the native tier must count elided
 duplicate writes exactly like the NumPy tier, not report zero).
 """
@@ -14,10 +14,10 @@ duplicate writes exactly like the NumPy tier, not report zero).
 import numpy as np
 import pytest
 
+from repro.bench.kernel_microbench import _CountingStepBackend
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.state import TERMINATED_ENOUGH_ANSWERS
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
-from repro.obs.config import ENV_WHOLE_LEVEL
 from repro.parallel import SequentialBackend, VectorizedBackend
 
 from conftest import zero_activation
@@ -64,7 +64,7 @@ def _signature(result):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_whole_level_three_way_parity(seed, monkeypatch):
+def test_whole_level_three_way_parity(seed):
     """Native run_level == NumPy run_level == classic step loop."""
     graph = _fuzz_kb(seed)
     sets, activation, k = _fuzz_problem(graph, seed * 13 + 1)
@@ -75,11 +75,10 @@ def test_whole_level_three_way_parity(seed, monkeypatch):
     fallback = BottomUpSearch(
         graph, backend=VectorizedBackend(native=False)
     ).run(sets, activation, k)
-    monkeypatch.setenv(ENV_WHOLE_LEVEL, "0")
-    stepped = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+    # A backend without run_level drives the classic step loop.
+    stepped = BottomUpSearch(graph, backend=_CountingStepBackend()).run(
         sets, activation, k
     )
-    monkeypatch.delenv(ENV_WHOLE_LEVEL)
     reference = BottomUpSearch(graph, backend=SequentialBackend()).run(
         sets, activation, k
     )
@@ -143,15 +142,12 @@ def test_run_level_respects_k_and_termination():
 
 
 def test_whole_level_env_toggle_registered():
-    """RPR004: the switch must be a registered, documented env var."""
+    """RPR004: the pool switches must be registered, documented env vars."""
     import inspect
 
     from repro.analysis.lint import registered_env_vars
     from repro.obs import config
-    from repro.obs.config import whole_level_enabled
 
     registered = registered_env_vars(inspect.getsource(config))
-    assert ENV_WHOLE_LEVEL in registered
     assert config.ENV_POOL_PERSIST in registered
     assert config.ENV_POOL_WORKERS in registered
-    assert isinstance(whole_level_enabled(), bool)
