@@ -40,7 +40,7 @@ from .central_graph import SearchAnswer
 from .results import EmptyQueryError, SearchResult
 from .scoring import DEFAULT_LAMBDA
 from .state import SearchState
-from .top_down import TopDownConfig, process_top_down
+from .top_down import TopDownConfig, TopDownCounts, process_top_down
 from .weights import node_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -262,6 +262,7 @@ class KeywordSearchEngine:
                     bottom_up = self._searcher.run(
                         node_sets, activation, k, timer=timer, tracer=tracer
                     )
+                    stage_two = TopDownCounts()
                     ranked = process_top_down(
                         self.graph,
                         bottom_up.state,
@@ -276,11 +277,14 @@ class KeywordSearchEngine:
                             native=self.config.top_down_native,
                         ),
                         timer=timer,
+                        counts=stage_two,
                     )
                 query_span.set_attrs(
                     {
                         "depth": bottom_up.depth,
                         "n_central_nodes": bottom_up.state.n_central_nodes,
+                        "n_extracted": stage_two.extracted,
+                        "n_dedup_dropped": stage_two.dedup_dropped,
                         "n_answers": len(ranked),
                         "terminated": bottom_up.terminated,
                     }
@@ -302,6 +306,8 @@ class KeywordSearchEngine:
             timer=timer,
             peak_state_nbytes=bottom_up.peak_state_nbytes,
             level_profile=bottom_up.level_profile,
+            n_extracted=stage_two.extracted,
+            n_dedup_dropped=stage_two.dedup_dropped,
             query_id=recording.query_id if recording is not None else None,
         )
         if recording is not None:

@@ -41,6 +41,9 @@ class SearchResult:
         level_profile: per-BFS-level expansion accounting from stage one
             (frontier size, edges scanned, new hits, new Central Nodes);
             empty for engine variants that do not record it.
+        n_extracted: Central Graphs stage two extracted (or assembled
+            from recorded paths) before pruning and dedup.
+        n_dedup_dropped: of those, how many containment dedup removed.
         query_id: the flight-recorder id of this query's
             :class:`~repro.obs.flight.QueryRecord` (the
             ``/debug/queries/<id>`` key), or ``None`` when no recorder
@@ -56,6 +59,8 @@ class SearchResult:
     timer: PhaseTimer
     peak_state_nbytes: int
     level_profile: "List[LevelProfile]" = field(default_factory=list)
+    n_extracted: int = 0
+    n_dedup_dropped: int = 0
     query_id: Optional[int] = None
 
     def __len__(self) -> int:

@@ -18,7 +18,17 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -184,40 +194,40 @@ class HittingDAG:
         """
         if self._stacked is None or self._kernel is None:
             return None
-        scratch = getattr(self._local, "extract_scratch", None)
-        if scratch is None:
-            n = self._n_nodes
-            total = int(self._stacked[2][-1])
-            scratch = (
-                np.zeros(n, dtype=np.uint8),  # visited (per column)
-                np.zeros(n, dtype=np.uint8),  # seen (across columns)
-                np.empty(n, dtype=np.int64),  # DFS stack
-                np.empty(n, dtype=np.int64),  # per-column visited list
-                np.empty(n, dtype=np.int64),  # out_nodes
-                np.empty(2 * max(total, 1), dtype=np.int64),  # out_pairs
-                np.zeros(2, dtype=np.int64),  # n_out
-            )
-            self._local.extract_scratch = scratch
-        visited, seen, stack, col_nodes, out_nodes, out_pairs, n_out = scratch
+        bound = getattr(self._local, "extract_bound", None)
+        if bound is None:
+            bound = self._bind_extract()
+            self._local.extract_bound = bound
+        extract, out_nodes, out_pairs = bound
+        n_nodes, n_pairs = extract(central_node)
+        return out_nodes[:n_nodes], out_pairs[: 2 * n_pairs].reshape(-1, 2)
+
+    def _bind_extract(
+        self,
+    ) -> "Tuple[Callable[[int], Tuple[int, int]], np.ndarray, np.ndarray]":
+        """This thread's scratch, bound once with the stacked DAG into a
+        raw-pointer ``extract_graph`` caller."""
+        n = self._n_nodes
         indptr_all, preds_all, col_offsets = self._stacked
         assert self._matrix is not None
-        n_nodes, n_pairs = self._kernel.extract_graph(
+        out_nodes = np.empty(n, dtype=np.int64)
+        out_pairs = np.empty(2 * max(int(col_offsets[-1]), 1), dtype=np.int64)
+        extract = self._kernel.bind_extract_graph(
             indptr_all.reshape(-1),
             preds_all,
             col_offsets,
             self._matrix.reshape(-1),
-            self._n_nodes,
+            n,
             self.n_keywords,
-            central_node,
-            visited,
-            seen,
-            stack,
-            col_nodes,
+            np.zeros(n, dtype=np.uint8),  # visited (per column)
+            np.zeros(n, dtype=np.uint8),  # seen (across columns)
+            np.empty(n, dtype=np.int64),  # DFS stack
+            np.empty(n, dtype=np.int64),  # per-column visited list
             out_nodes,
             out_pairs,
-            n_out,
+            np.zeros(2, dtype=np.int64),  # n_out
         )
-        return out_nodes[:n_nodes], out_pairs[: 2 * n_pairs].reshape(-1, 2)
+        return extract, out_nodes, out_pairs
 
 
 def extract_central_graph(
@@ -396,15 +406,35 @@ def deduplicate_by_containment(
     The paper removes "the Central Graph that completely contains smaller
     ones" to curb repetition (Section VI-B). Processing by increasing node
     count guarantees any superset sees its subsets first.
+
+    Kept node sets are indexed by their Central Node. A strict subset
+    ``K`` of ``G`` contains its own Central Node, so that node is a
+    member of ``G``: the only kept graphs ``G`` can contain are those
+    centred on one of ``G``'s nodes. The cost per graph follows its own
+    size and the graphs it could contain, not everything kept so far.
+
+    Raises:
+        ValueError: a graph whose ``central_node`` is not in its
+            ``nodes`` (the index relies on that invariant).
     """
     ordered = sorted(graphs, key=lambda g: (g.n_nodes, g.central_node))
     kept: List[CentralGraph] = []
-    kept_sets: List[Set[int]] = []
+    kept_by_center: Dict[int, List[Set[int]]] = {}
     for graph in ordered:
-        if any(graph.nodes > existing for existing in kept_sets):
+        nodes = graph.nodes
+        if graph.central_node not in nodes:
+            raise ValueError(
+                f"Central Graph {graph.central_node} does not contain its "
+                "Central Node"
+            )
+        if any(
+            nodes > existing
+            for node in nodes
+            for existing in kept_by_center.get(node, ())
+        ):
             continue
         kept.append(graph)
-        kept_sets.append(graph.nodes)
+        kept_by_center.setdefault(graph.central_node, []).append(nodes)
     return kept
 
 
@@ -437,6 +467,19 @@ class TopDownConfig:
     native: Optional[bool] = None
 
 
+@dataclass
+class TopDownCounts:
+    """Stage-two work counters of one query.
+
+    Attributes:
+        extracted: Central Graphs extracted (or handed in prebuilt).
+        dedup_dropped: graphs removed by containment dedup.
+    """
+
+    extracted: int = 0
+    dedup_dropped: int = 0
+
+
 def process_top_down(
     graph: KnowledgeGraph,
     state: SearchState,
@@ -444,6 +487,7 @@ def process_top_down(
     config: Optional[TopDownConfig] = None,
     timer: Optional[PhaseTimer] = None,
     prebuilt: Optional[Iterable[CentralGraph]] = None,
+    counts: Optional[TopDownCounts] = None,
 ) -> List[CentralGraph]:
     """Run stage two over every identified Central Node.
 
@@ -452,6 +496,7 @@ def process_top_down(
         prebuilt: already-materialized Central Graphs (the CPU-Par-d
             variant records paths during search and skips extraction);
             when given, ``state.central_nodes`` is ignored.
+        counts: when given, receives this query's stage-two counters.
 
     Returns:
         The final top-k answers, best (lowest score) first.
@@ -487,6 +532,7 @@ def process_top_down(
                     for node, depth in central_nodes
                 ]
 
+        n_extracted = len(extracted)
         n_keywords = state.n_keywords
         if config.apply_level_cover:
             extracted = [
@@ -494,6 +540,9 @@ def process_top_down(
             ]
         if config.deduplicate:
             extracted = deduplicate_by_containment(extracted)
+        if counts is not None:
+            counts.extracted = n_extracted
+            counts.dedup_dropped = n_extracted - len(extracted)
         for answer in extracted:
             answer.score = central_graph_score(answer, weights, config.lam)
         heap = TopKHeap(config.k)

@@ -157,6 +157,9 @@ class QueryRecord:
         levels: per-BFS-level expansion accounting (one dict per level).
         depth / n_central_nodes / n_answers / terminated: stage-one and
             ranking outcomes.
+        n_extracted / n_dedup_dropped: Central Graphs stage two
+            extracted, and how many of them containment dedup removed
+            (a query that extracts thousands shows it here).
         slow: whether ``duration_ms`` met the slow-query threshold.
         spans: the per-query span tree, serialized.
         trace: the full Chrome trace payload — persisted eagerly for
@@ -179,6 +182,8 @@ class QueryRecord:
     depth: int = 0
     n_central_nodes: int = 0
     n_answers: int = 0
+    n_extracted: int = 0
+    n_dedup_dropped: int = 0
     terminated: str = ""
     slow: bool = False
     spans: List[Dict[str, object]] = field(default_factory=list)
@@ -210,6 +215,8 @@ class QueryRecord:
             counters=dict(self.counters),
             levels=[dict(level) for level in self.levels],
             n_central_nodes=self.n_central_nodes,
+            n_extracted=self.n_extracted,
+            n_dedup_dropped=self.n_dedup_dropped,
             terminated=self.terminated,
             spans=[dict(span) for span in self.spans],
         )
@@ -262,6 +269,8 @@ class QueryRecording:
         record.depth = int(result.depth)
         record.n_central_nodes = int(result.n_central_nodes)
         record.n_answers = len(result.answers)
+        record.n_extracted = int(result.n_extracted)
+        record.n_dedup_dropped = int(result.n_dedup_dropped)
         record.terminated = str(result.terminated)
         record.phases = result.timer.milliseconds()
         record.duration_ms = record.phases.get("total", self._elapsed_ms())

@@ -26,7 +26,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -248,6 +248,18 @@ class NativeKernel:
             i64,  # n_out
         ]
         self._graph_closure = graph_closure
+        # The same symbol, fresh from the library, with every array
+        # argtype of the checked prototype above replaced by c_void_p:
+        # :meth:`bind_extract_graph` validates the arrays through the
+        # checked argtypes once and then calls this one per Central Node.
+        arrays = (i64, i32, i16, u64, u8)
+        raw_closure = library["extract_graph"]
+        raw_closure.restype = graph_closure.restype
+        raw_closure.argtypes = [
+            ctypes.c_void_p if argtype in arrays else argtype
+            for argtype in graph_closure.argtypes
+        ]
+        self._graph_closure_raw = raw_closure
 
     def expand(
         self,
@@ -416,6 +428,88 @@ class NativeKernel:
             n_out,
         )
         return int(n_out[0]), int(n_out[1])
+
+    def bind_extract_graph(
+        self,
+        indptr_all: np.ndarray,
+        preds_all: np.ndarray,
+        col_offsets: np.ndarray,
+        matrix: np.ndarray,
+        n: int,
+        q: int,
+        visited: np.ndarray,
+        seen: np.ndarray,
+        stack: np.ndarray,
+        col_nodes: np.ndarray,
+        out_nodes: np.ndarray,
+        out_pairs: np.ndarray,
+        n_out: np.ndarray,
+    ) -> "BoundExtractGraph":
+        """:meth:`extract_graph` with everything but the Central Node
+        bound once.
+
+        Each array goes through the checked ``ndpointer`` argtype of its
+        position here, so a wrong dtype or a non-contiguous array still
+        raises ``TypeError``. The returned callable then passes prebuilt
+        ``c_void_p`` values, skipping that conversion on every call.
+        """
+        values: "tuple[Any, ...]" = (
+            indptr_all, preds_all, col_offsets, matrix, n, q, None,
+            visited, seen, stack, col_nodes, out_nodes, out_pairs, n_out,
+        )
+        args = []
+        for checked, raw, value in zip(
+            self._graph_closure.argtypes,
+            self._graph_closure_raw.argtypes,
+            values,
+        ):
+            if raw is ctypes.c_void_p:
+                checked.from_param(value)
+                value = ctypes.c_void_p(value.ctypes.data)
+            args.append(value)
+        central = _EXTRACT_GRAPH_CENTRAL
+        return BoundExtractGraph(
+            self._graph_closure_raw,
+            tuple(args[:central]),
+            tuple(args[central + 1:]),
+            n_out,
+            values,
+        )
+
+
+#: Position of ``central`` in ``extract_graph``'s prototype: the one
+#: argument a :class:`BoundExtractGraph` takes per call.
+_EXTRACT_GRAPH_CENTRAL = 6
+
+
+class BoundExtractGraph:
+    """``extract_graph`` with its per-query arguments bound as raw
+    pointers; call it with a Central Node, get ``(n_nodes, n_pairs)``.
+
+    Holds the bound arrays, so their memory outlives the binding.
+    """
+
+    __slots__ = ("_fn", "_head", "_tail", "_n_out", "_arrays")
+
+    def __init__(
+        self,
+        fn: Any,
+        head: "tuple[Any, ...]",
+        tail: "tuple[Any, ...]",
+        n_out: np.ndarray,
+        arrays: "tuple[Any, ...]",
+    ) -> None:
+        self._fn = fn
+        self._head = head
+        self._tail = tail
+        self._n_out = n_out
+        self._arrays = arrays
+
+    def __call__(self, central: int) -> "tuple[int, int]":
+        self._fn(*self._head, central, *self._tail)
+        n_nodes, n_pairs = self._n_out[:2].tolist()
+        return n_nodes, n_pairs
+
 
 def enabled() -> bool:
     """Native tier not vetoed by the environment."""

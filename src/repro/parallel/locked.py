@@ -39,7 +39,11 @@ from ..core.state import (
     TERMINATED_FRONTIER_EMPTY,
     TERMINATED_LEVEL_CAP,
 )
-from ..core.top_down import deduplicate_by_containment, level_cover_prune
+from ..core.top_down import (
+    TopDownCounts,
+    deduplicate_by_containment,
+    level_cover_prune,
+)
 from ..graph.csr import KnowledgeGraph
 from ..obs.locks import make_lock, make_striped_locks, register_lock_owner
 from ..text.inverted_index import InvertedIndex
@@ -150,7 +154,8 @@ class LockedDictEngine:
             state, terminated, depth, peak = self._bottom_up(
                 node_sets, activation, k, timer
             )
-            answers = self._finalize(state, k, lam, timer)
+            stage_two = TopDownCounts()
+            answers = self._finalize(state, k, lam, timer, stage_two)
         return SearchResult(
             answers=[SearchAnswer(graph=g, keywords=keywords) for g in answers],
             keywords=keywords,
@@ -160,6 +165,8 @@ class LockedDictEngine:
             terminated=terminated,
             timer=timer,
             peak_state_nbytes=peak,
+            n_extracted=stage_two.extracted,
+            n_dedup_dropped=stage_two.dedup_dropped,
         )
 
     # ------------------------------------------------------------------
@@ -302,7 +309,12 @@ class LockedDictEngine:
     # Stage two: no extraction needed — paths were recorded
     # ------------------------------------------------------------------
     def _finalize(
-        self, state: _DynamicState, k: int, lam: float, timer: PhaseTimer
+        self,
+        state: _DynamicState,
+        k: int,
+        lam: float,
+        timer: PhaseTimer,
+        counts: TopDownCounts,
     ) -> List[CentralGraph]:
         with timer.phase(PHASE_TOP_DOWN):
             graphs = [
@@ -312,7 +324,9 @@ class LockedDictEngine:
             graphs = [
                 level_cover_prune(graph, state.n_keywords) for graph in graphs
             ]
+            counts.extracted = len(graphs)
             graphs = deduplicate_by_containment(graphs)
+            counts.dedup_dropped = counts.extracted - len(graphs)
             for graph in graphs:
                 graph.score = central_graph_score(graph, self.weights, lam)
             heap = TopKHeap(k)

@@ -196,3 +196,37 @@ def test_ctypes_object_conversion_handles_platform_aliases():
     assert str(abi._ctypes_object_to_ctype(ctypes.c_uint8)) == "uint8"
     assert str(abi._ctypes_object_to_ctype(ctypes.c_void_p)) == "void*"
     assert str(abi._ctypes_object_to_ctype(None)) == "void"
+
+
+def test_raw_extract_graph_binding_matches_checked_prototype():
+    """The checker sees ``extract_graph``'s full ndpointer prototype; the
+    raw-pointer binding derived from it at load time must agree with it
+    and with the C prototype at every position."""
+    import ctypes
+
+    from repro.parallel.vectorized import _native_kernel
+
+    source = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
+    c_params = {fn.name: fn for fn in abi.parse_c_exports(source)}[
+        "extract_graph"
+    ].params
+    bindings, _, _ = abi.extract_ctypes_declarations(
+        abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
+    )
+    assert len(bindings["extract_graph"].argtypes) == len(c_params)
+
+    kernel = _native_kernel()
+    if kernel is None:
+        pytest.skip("native kernel unavailable")
+    checked = kernel._graph_closure.argtypes
+    raw = kernel._graph_closure_raw.argtypes
+    assert len(raw) == len(checked) == len(c_params)
+    assert kernel._graph_closure_raw.restype is kernel._graph_closure.restype
+    for position, (c_param, want, got) in enumerate(zip(c_params, checked, raw)):
+        if c_param.ctype.pointer:
+            assert got is ctypes.c_void_p, position
+        else:
+            assert got is want, position
+        assert abi._types_compatible(
+            c_param.ctype, abi._ctypes_object_to_ctype(got)
+        ), position

@@ -52,6 +52,54 @@ def test_engine_records_every_query(engine):
     engine.flight = None
 
 
+def test_record_explains_stage_two_work(engine):
+    """Extracted vs dedup-dropped Central Graphs reach the flight record,
+    matching a by-hand replay of stage two on the same bottom-up state."""
+    from repro.core.top_down import (
+        HittingDAG,
+        deduplicate_by_containment,
+        extract_central_graph,
+        level_cover_prune,
+    )
+    from repro.text.query_parser import parse_query, resolve_keyword_groups
+
+    flight = FlightRecorder(max_records=8, slow_ms=0)
+    engine.flight = flight
+    result = engine.search("database query optimization", k=10)
+    engine.flight = None
+    record = flight.get(result.query_id)
+
+    pairs = resolve_keyword_groups(
+        parse_query("database query optimization"), engine.index
+    )
+    bottom_up = engine._searcher.run(
+        [nodes for _, nodes in pairs if len(nodes)],
+        engine.activation_for(engine.config.alpha),
+        10,
+    )
+    state = bottom_up.state
+    dag = HittingDAG(engine.graph, state)
+    pruned = [
+        level_cover_prune(
+            extract_central_graph(engine.graph, state, node, depth, dag),
+            state.n_keywords,
+        )
+        for node, depth in state.central_nodes
+    ]
+    dropped = len(pruned) - len(deduplicate_by_containment(pruned))
+    assert dropped > 0  # the fixture query exercises the filter
+    assert result.n_extracted == len(state.central_nodes)
+    assert result.n_dedup_dropped == dropped
+    assert record.n_extracted == result.n_extracted
+    assert record.n_dedup_dropped == result.n_dedup_dropped
+    payload = record.as_dict(include_trace=False)
+    assert payload["n_extracted"] == result.n_extracted
+    assert payload["n_dedup_dropped"] == dropped
+    query_span = next(s for s in record.spans if s["name"] == "query")
+    assert query_span["attrs"]["n_extracted"] == result.n_extracted
+    assert query_span["attrs"]["n_dedup_dropped"] == dropped
+
+
 def test_ring_evicts_but_count_is_exact(engine):
     flight = FlightRecorder(max_records=3, slow_ms=0)
     engine.flight = flight

@@ -57,6 +57,8 @@ def test_locked_matches_matrix_engine_on_random_graphs(seed, alpha, k):
     assert _answer_signature(expected) == _answer_signature(actual)
     assert expected.depth == actual.depth
     assert expected.n_central_nodes == actual.n_central_nodes
+    assert expected.n_extracted == actual.n_extracted
+    assert expected.n_dedup_dropped == actual.n_dedup_dropped
     assert expected.terminated == actual.terminated
 
 

@@ -121,23 +121,43 @@ def test_banks1_path_sums_are_optimal(seed, k):
         assert tree.score == pytest.approx(expected)
 
 
-@settings(max_examples=30, deadline=None)
+def _all_pairs_dedup(graphs):
+    """The all-pairs containment filter: every kept set is scanned."""
+    ordered = sorted(graphs, key=lambda g: (g.n_nodes, g.central_node))
+    kept = []
+    for graph in ordered:
+        if any(graph.nodes > other.nodes for other in kept):
+            continue
+        kept.append(graph)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_containment_dedup_properties(data):
-    """Output has no strict-superset pair and keeps every minimal set."""
+    """Output has no strict-superset pair, keeps every minimal set, and is
+    exactly the all-pairs oracle's output (same graphs, same order)."""
     from repro.core.central_graph import CentralGraph
 
-    n_graphs = data.draw(st.integers(1, 12))
+    n_graphs = data.draw(st.integers(1, 60))
     graphs = []
     for i in range(n_graphs):
-        members = data.draw(
-            st.sets(st.integers(0, 8), min_size=1, max_size=6)
-        )
-        central = min(members)
+        if graphs and data.draw(st.booleans()):
+            # Reuse an earlier node set: equal sets, and shared Central
+            # Nodes whenever the same member is drawn again.
+            members = set(data.draw(st.sampled_from(graphs)).nodes)
+        else:
+            members = data.draw(
+                st.sets(st.integers(0, 10), min_size=1, max_size=7)
+            )
+        central = data.draw(st.sampled_from(sorted(members)))
         graphs.append(
             CentralGraph(central, 1, set(members), set(), {})
         )
     kept = deduplicate_by_containment(graphs)
+    oracle = _all_pairs_dedup(graphs)
+    assert len(kept) == len(oracle)
+    assert all(a is b for a, b in zip(kept, oracle))
     kept_sets = [g.nodes for g in kept]
     for i, a in enumerate(kept_sets):
         for j, b in enumerate(kept_sets):
@@ -147,7 +167,15 @@ def test_containment_dedup_properties(data):
     all_sets = [g.nodes for g in graphs]
     for g in graphs:
         if not any(g.nodes > other for other in all_sets):
-            assert any(
-                g.nodes == kept_graph.nodes and g.central_node == kept_graph.central_node
-                for kept_graph in kept
-            ) or any(g.nodes == s for s in kept_sets)
+            assert any(g is kept_graph for kept_graph in kept)
+
+
+def test_containment_dedup_rejects_graph_without_its_central_node():
+    from repro.core.central_graph import CentralGraph
+
+    graphs = [
+        CentralGraph(0, 1, {0, 1}, set(), {}),
+        CentralGraph(5, 1, {1, 2}, set(), {}),
+    ]
+    with pytest.raises(ValueError):
+        deduplicate_by_containment(graphs)

@@ -8,6 +8,7 @@ the ablation flags, and must rank the same Central Graphs with the same
 depth, node set, edge set and exact Eq. 6 score.
 """
 
+import ctypes
 import itertools
 
 import numpy as np
@@ -105,3 +106,91 @@ def test_native_stage_two_matches_numpy(seed):
         numpy = _ranked(graph, state, weights, False, **knobs)
         assert native == numpy, knobs
         assert native
+
+
+def _unbound_scratch(n, total):
+    return (
+        np.zeros(n, dtype=np.uint8),
+        np.zeros(n, dtype=np.uint8),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+        np.empty(2 * max(total, 1), dtype=np.int64),
+        np.zeros(2, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bound_extract_matches_unbound_call(seed):
+    """The once-per-thread raw-pointer binding returns what a fully
+    checked ``NativeKernel.extract_graph`` call returns, per Central Node."""
+    graph = _graph(seed)
+    state = _bottom_up(graph, np.random.default_rng(seed * 31 + 7)).state
+    if not state.central_nodes:
+        pytest.skip("fuzzed query found no Central Node")
+    dag = HittingDAG(graph, state)
+    indptr_all, preds_all, col_offsets = dag._stacked
+    scratch = _unbound_scratch(graph.n_nodes, int(col_offsets[-1]))
+    out_nodes, out_pairs = scratch[4], scratch[5]
+    for central, _ in state.central_nodes:
+        n_nodes, n_pairs = _native_kernel().extract_graph(
+            indptr_all.reshape(-1), preds_all, col_offsets,
+            state.matrix.reshape(-1), graph.n_nodes, state.n_keywords,
+            central, *scratch,
+        )
+        bound_nodes, bound_pairs = dag.extract_native(central)
+        assert np.array_equal(bound_nodes, out_nodes[:n_nodes])
+        assert np.array_equal(
+            bound_pairs, out_pairs[: 2 * n_pairs].reshape(-1, 2)
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threaded_extraction_matches_serial(seed):
+    """Each extraction thread binds its own scratch: four threads rank
+    exactly what one does."""
+    graph = _graph(seed)
+    weights = node_weights(graph)
+    state = _bottom_up(graph, np.random.default_rng(seed * 31 + 7)).state
+    if not state.central_nodes:
+        pytest.skip("fuzzed query found no Central Node")
+    k = len(state.central_nodes)
+    serial = _ranked(graph, state, weights, None, k=k, n_threads=1)
+    threaded = _ranked(graph, state, weights, None, k=k, n_threads=4)
+    assert threaded == serial
+
+
+def _bind_args(n, total, **override):
+    args = dict(
+        indptr_all=np.zeros(n + 1, dtype=np.int64),
+        preds_all=np.zeros(1, dtype=np.int64),
+        col_offsets=np.zeros(2, dtype=np.int64),
+        matrix=np.zeros(n, dtype=np.uint8),
+        n=n,
+        q=1,
+        visited=np.zeros(n, dtype=np.uint8),
+        seen=np.zeros(n, dtype=np.uint8),
+        stack=np.empty(n, dtype=np.int64),
+        col_nodes=np.empty(n, dtype=np.int64),
+        out_nodes=np.empty(n, dtype=np.int64),
+        out_pairs=np.empty(2 * max(total, 1), dtype=np.int64),
+        n_out=np.zeros(2, dtype=np.int64),
+    )
+    args.update(override)
+    return args
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("visited", np.zeros(16, dtype=np.int64)),
+        ("stack", np.empty(16, dtype=np.int32)),
+        ("out_pairs", np.empty(32, dtype=np.int64)[::2]),
+        ("preds_all", [0]),
+    ],
+)
+def test_binding_keeps_dtype_and_contiguity_checks(name, bad):
+    kernel = _native_kernel()
+    kernel.bind_extract_graph(**_bind_args(16, 8))  # the valid baseline
+    with pytest.raises((ctypes.ArgumentError, TypeError)):
+        kernel.bind_extract_graph(**_bind_args(16, 8, **{name: bad}))
