@@ -670,9 +670,11 @@ def _child_parity() -> int:
     print("parity: all backends bit-identical under sanitized native kernel")
 
     # Drive the remaining native entry points under the sanitizers:
-    # the top-down fast path (build_hitting_dag + extract_graph). The
-    # checked fuzz above already runs whole_level_step and fused_expand
-    # via the backends' run_level path.
+    # the top-down path (build_hitting_dag, prune_central_graphs,
+    # minimal_central_graphs, and extract_graph for the winners), once
+    # serially and once split over two threads. The checked fuzz above
+    # already runs whole_level_step and fused_expand via the backends'
+    # run_level path.
     from ..core.bottom_up import BottomUpSearch
     from ..core.top_down import TopDownConfig, process_top_down
     from ..core.weights import node_weights
@@ -685,23 +687,21 @@ def _child_parity() -> int:
     )
 
     weights = node_weights(graph)
-    ranked_native = process_top_down(
-        graph, solo.state, weights, config=TopDownConfig(k=k)
-    )
-    ranked_numpy = process_top_down(
-        graph, solo.state, weights, config=TopDownConfig(k=k, native=False)
-    )
-    native_sig = [
-        (g.central_node, round(g.score, 9), tuple(sorted(g.nodes)))
-        for g in ranked_native
-    ]
-    numpy_sig = [
-        (g.central_node, round(g.score, 9), tuple(sorted(g.nodes)))
-        for g in ranked_numpy
-    ]
-    if native_sig != numpy_sig:
-        print("parity: native top-down diverged from NumPy")
-        return 7
+
+    def signature(config: "TopDownConfig") -> list:
+        return [
+            (g.central_node, g.depth, g.score, sorted(g.nodes), sorted(g.edges))
+            for g in process_top_down(graph, solo.state, weights, config=config)
+        ]
+
+    numpy_sig = signature(TopDownConfig(k=k, native=False))
+    for n_threads in (1, 2):
+        if signature(TopDownConfig(k=k, n_threads=n_threads)) != numpy_sig:
+            print(
+                f"parity: native top-down (n_threads={n_threads}) "
+                "diverged from NumPy"
+            )
+            return 7
     print("parity: native top-down matches NumPy under sanitizers")
     return 0
 

@@ -56,10 +56,12 @@ class EngineConfig:
         alpha: activation preference knob (paper default 0.1).
         lam: Eq. 6's λ (paper default 0.2).
         lmax: bottom-up level cap.
-        top_down_threads: stage-two extraction parallelism.
+        top_down_threads: stage-two parallelism on the native tier
+            (``TopDownConfig.n_threads``).
         top_down_native: ``False`` pins stage two to the NumPy
-            hitting-DAG build and extraction walk (the measured legacy
-            baseline); ``None`` uses the compiled kernels when loaded.
+            hitting-DAG build and the per-candidate Python route (the
+            measured reference); ``None`` uses the compiled kernels when
+            loaded.
         distance_sample_pairs: pairs sampled to estimate A at startup.
         apply_level_cover / deduplicate / single_path: ablation switches.
     """

@@ -11,6 +11,7 @@ ignores depth entirely.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -21,16 +22,27 @@ from .central_graph import CentralGraph
 DEFAULT_LAMBDA = 0.2
 
 
+def validate_lambda(lam: float) -> None:
+    """Reject a λ Eq. 6 cannot rank with.
+
+    Raises:
+        ValueError: if λ is negative (the paper requires λ ≥ 0) or not
+            finite (NaN or infinite powers make every score equal or
+            undefined).
+    """
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+
+
 def central_graph_score(
     graph: CentralGraph, weights: np.ndarray, lam: float = DEFAULT_LAMBDA
 ) -> float:
     """Eq. 6 over the (pruned) member nodes.
 
     Raises:
-        ValueError: if λ is negative (the paper requires λ ≥ 0).
+        ValueError: if λ is negative or not finite (:func:`validate_lambda`).
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    validate_lambda(lam)
     # Sum in sorted-node order: float addition is non-associative, and
     # ``graph.nodes`` insertion order differs between engine variants, so
     # an order-dependent sum can differ in the last ulp and flip score

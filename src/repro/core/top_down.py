@@ -11,15 +11,21 @@ strategy, removes containment-repetitive answers, scores what remains
 Extraction tracks (node, keyword) pairs so that a node extracted for
 keyword ``i`` only pulls in its keyword-``i`` predecessors — exactly the
 union of hitting paths that Definition 3 prescribes.
+
+With the compiled kernel, :func:`process_top_down` runs extraction,
+pruning, dedup and weighing for every candidate on arrays, and only the
+top k become :class:`CentralGraph` objects (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     Callable,
+    ContextManager,
     Dict,
     FrozenSet,
     Iterable,
@@ -36,7 +42,12 @@ from ..instrumentation import PHASE_TOP_DOWN, PhaseTimer
 from ..graph.csr import KnowledgeGraph
 from ..parallel.vectorized import _native_kernel
 from .central_graph import CentralGraph
-from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score
+from .scoring import (
+    DEFAULT_LAMBDA,
+    TopKHeap,
+    central_graph_score,
+    validate_lambda,
+)
 from .state import INFINITE_LEVEL, SearchState
 
 
@@ -170,6 +181,99 @@ class HittingDAG:
             # flat arrays are grouped by target already, so masking keeps
             # each target's predecessors contiguous.
             self._preds.append(flat_preds[qualified])
+
+    @property
+    def native(self) -> bool:
+        """Whether the compiled stacked build is in use, and with it the
+        array-native stage two (:meth:`prune_native`)."""
+        return self._stacked is not None and self._kernel is not None
+
+    def prune_native(
+        self, centrals: np.ndarray, weights: np.ndarray, level_cover: bool
+    ) -> "Tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Final node sets and weight masses of the Central Graphs of
+        ``centrals``, all on arrays in the ``prune_central_graphs`` kernel.
+
+        Each graph is extracted, level-cover pruned when ``level_cover``
+        is set (exactly as :func:`level_cover_prune`), and weighed: its
+        mass is the sequential sum of ``weights`` in ascending node
+        order, bit-equal to :func:`central_graph_score`'s. Requires
+        :attr:`native`.
+
+        Returns:
+            ``(nodes, sizes, mass)``: the sorted node sets concatenated
+            in ``centrals`` order, the node count of each, and the mass
+            of each.
+        """
+        assert self._stacked is not None and self._matrix is not None
+        n = self._n_nodes
+        indptr_all, preds_all, col_offsets = self._stacked
+        total_preds = max(int(col_offsets[-1]), 1)
+        scratch = (
+            np.zeros(n, dtype=np.uint8),  # visited
+            np.zeros(n, dtype=np.uint8),  # seen
+            np.empty(n, dtype=np.int64),  # stack
+            np.empty(n, dtype=np.int64),  # col_nodes
+            np.empty(n, dtype=np.int64),  # graph_nodes
+            np.empty(2 * total_preds, dtype=np.int64),  # pairs
+            np.full(n, -1, dtype=np.int64),  # local
+            np.empty(n + 1, dtype=np.int64),  # succ_indptr
+            np.empty(total_preds, dtype=np.int64),  # succ
+            np.empty(n, dtype=np.int64),  # keyword_counts
+            np.empty(self.n_keywords, dtype=np.uint8),  # covered
+        )
+        count = len(centrals)
+        sizes = np.empty(count, dtype=np.int64)
+        mass = np.empty(count, dtype=np.float64)
+        # The output starts at one graph's worst case and doubles when a
+        # call fills it, so it follows the sum of the pruned sizes.
+        out = np.empty(max(n, 1), dtype=np.int64)
+        chunks: List[np.ndarray] = []
+        done = 0
+        while done < count:
+            written = self._kernel.prune_central_graphs(
+                indptr_all.reshape(-1),
+                preds_all,
+                col_offsets,
+                self._matrix.reshape(-1),
+                weights,
+                n,
+                self.n_keywords,
+                centrals[done:],
+                level_cover,
+                scratch,
+                out,
+                sizes[done:],
+                mass[done:],
+            )
+            chunks.append(out[: int(sizes[done : done + written].sum())])
+            done += written
+            if done < count:
+                out = np.empty(2 * len(out), dtype=np.int64)
+        nodes = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return nodes, sizes, mass
+
+    def minimal_native(
+        self,
+        nodes: np.ndarray,
+        offsets: np.ndarray,
+        candidate_of: np.ndarray,
+        lo: int,
+        hi: int,
+        keep: np.ndarray,
+    ) -> None:
+        """Containment dedup of candidates ``[lo, hi)`` on the arrays of
+        :meth:`prune_native`: ``keep[g]`` becomes 1 iff no candidate's
+        node set is a strict subset of candidate ``g``'s."""
+        self._kernel.minimal_central_graphs(
+            nodes,
+            offsets,
+            candidate_of,
+            lo,
+            hi,
+            np.zeros(self._n_nodes, dtype=np.uint8),
+            keep,
+        )
 
     def predecessors(self, node: int, column: int) -> np.ndarray:
         """Qualified keyword-``column`` predecessors of ``node``."""
@@ -444,18 +548,21 @@ class TopDownConfig:
 
     Attributes:
         k: how many final answers to return.
-        lam: Eq. 6's λ.
+        lam: Eq. 6's λ (finite and ≥ 0).
         apply_level_cover: turn the pruning strategy off for ablations.
         deduplicate: turn containment filtering off for ablations.
         single_path: tree-shaped answers (one hitting path per keyword)
             instead of multi-path Central Graphs — ablation only.
-        n_threads: Central Graphs recovered in parallel when > 1 (the
-            paper runs this stage on CPU threads with dynamic scheduling).
+        n_threads: on the array-native tier, the Central Node range is
+            split into this many contiguous slices, each pruned, weighed
+            and deduplicated by its own kernel call on its own thread
+            (the paper runs this stage on CPU threads). The Python tiers
+            run serially.
         native: ``False`` pins the NumPy hitting-DAG build and the
-            per-level NumPy extraction walk (the measured legacy
-            baseline); ``None`` uses the compiled DAG/closure kernels
-            whenever they are available. Both tiers produce identical
-            node and edge sets.
+            per-candidate Python route (extract, prune, dedup, score on
+            :class:`CentralGraph` objects: the measured reference);
+            ``None`` uses the compiled kernels whenever they are
+            available. Both tiers rank identically, bit for bit.
     """
 
     k: int = 20
@@ -491,6 +598,19 @@ def process_top_down(
 ) -> List[CentralGraph]:
     """Run stage two over every identified Central Node.
 
+    On the native tier every candidate is extracted, pruned, weighed and
+    deduplicated on arrays in the kernel; the top k are selected there
+    and only they become :class:`CentralGraph` objects, rebuilt by
+    :func:`extract_central_graph` and :func:`level_cover_prune` and
+    scored by :func:`central_graph_score`. ``native=False``,
+    ``single_path`` and ``prebuilt`` take the per-candidate Python route.
+    Both rank identically.
+
+    With an enabled tracer on ``timer``, the ``top_down_processing``
+    phase span holds ``top_down.dag``, ``top_down.select`` (everything
+    from extraction to the top-k choice) and, on the native tier,
+    ``top_down.materialise`` (building the winners).
+
     Args:
         weights: normalized degree-of-summary weights (for Eq. 6).
         prebuilt: already-materialized Central Graphs (the CPU-Par-d
@@ -500,51 +620,186 @@ def process_top_down(
 
     Returns:
         The final top-k answers, best (lowest score) first.
+
+    Raises:
+        ValueError: ``k < 1``, or a negative or non-finite λ.
+        RuntimeError: a rebuilt winner disagrees with the kernel's
+            node count or score.
     """
     config = config or TopDownConfig()
+    validate_lambda(config.lam)
+    if config.k < 1:
+        raise ValueError("k must be at least 1")
     timer = timer or PhaseTimer()
+    tracer = getattr(timer, "tracer", None)
+    span = tracer.span if tracer is not None and tracer.enabled else _no_span
     with timer.phase(PHASE_TOP_DOWN):
         if prebuilt is not None:
             extracted = list(prebuilt)
+            dag = None
         else:
             central_nodes = state.central_nodes
-            dag = (
-                HittingDAG(graph, state, native=config.native)
-                if central_nodes
-                else None
-            )
-            if config.n_threads > 1 and len(central_nodes) > 1:
-                with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-                    extracted = list(
-                        pool.map(
-                            lambda pair: extract_central_graph(
-                                graph, state, pair[0], pair[1], dag,
-                                config.single_path,
-                            ),
-                            central_nodes,
+            with span("top_down.dag"):
+                dag = (
+                    HittingDAG(graph, state, native=config.native)
+                    if central_nodes
+                    else None
+                )
+        if (
+            dag is not None
+            and dag.native
+            and not config.single_path
+            and isinstance(weights, np.ndarray)
+            and weights.dtype == np.float64
+        ):
+            with span("top_down.select"):
+                winners, sizes, scores, n_kept = _select_native(
+                    dag, state, weights, config
+                )
+            with span("top_down.materialise"):
+                ranked = _materialise(
+                    graph, state, weights, config, dag, winners, sizes, scores
+                )
+            n_extracted = len(state.central_nodes)
+        else:
+            with span("top_down.select"):
+                if prebuilt is None:
+                    extracted = [
+                        extract_central_graph(
+                            graph, state, node, depth, dag, config.single_path
                         )
-                    )
-            else:
-                extracted = [
-                    extract_central_graph(
-                        graph, state, node, depth, dag, config.single_path
-                    )
-                    for node, depth in central_nodes
-                ]
-
-        n_extracted = len(extracted)
-        n_keywords = state.n_keywords
-        if config.apply_level_cover:
-            extracted = [
-                level_cover_prune(answer, n_keywords) for answer in extracted
-            ]
-        if config.deduplicate:
-            extracted = deduplicate_by_containment(extracted)
+                        for node, depth in state.central_nodes
+                    ]
+                ranked, n_kept = _rank_graphs(
+                    extracted, state.n_keywords, weights, config
+                )
+            n_extracted = len(extracted)
         if counts is not None:
             counts.extracted = n_extracted
-            counts.dedup_dropped = n_extracted - len(extracted)
-        for answer in extracted:
-            answer.score = central_graph_score(answer, weights, config.lam)
-        heap = TopKHeap(config.k)
-        heap.extend(extracted)
-        return heap.ranked()
+            counts.dedup_dropped = n_extracted - n_kept
+        return ranked
+
+
+def _no_span(name: str) -> ContextManager[None]:
+    return nullcontext()
+
+
+def _rank_graphs(
+    extracted: List[CentralGraph],
+    n_keywords: int,
+    weights: np.ndarray,
+    config: TopDownConfig,
+) -> Tuple[List[CentralGraph], int]:
+    """The per-candidate route: prune, dedup, score and heap Python
+    objects. Returns the ranking and how many graphs dedup kept."""
+    if config.apply_level_cover:
+        extracted = [level_cover_prune(answer, n_keywords) for answer in extracted]
+    if config.deduplicate:
+        extracted = deduplicate_by_containment(extracted)
+    for answer in extracted:
+        answer.score = central_graph_score(answer, weights, config.lam)
+    heap = TopKHeap(config.k)
+    heap.extend(extracted)
+    return heap.ranked(), len(extracted)
+
+
+def _slices(count: int, parts: int) -> List[Tuple[int, int]]:
+    """``[0, count)`` cut into at most ``parts`` contiguous non-empty
+    slices."""
+    parts = max(1, min(parts, count))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _select_native(
+    dag: HittingDAG,
+    state: SearchState,
+    weights: np.ndarray,
+    config: TopDownConfig,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every candidate's pruned node set, mass and dedup verdict from the
+    kernel, then the top k by ``(score, n_nodes, central_node)``:
+    :class:`TopKHeap`'s order, since Central Nodes are unique.
+
+    Returns the winners' candidate indices, node counts and scores, best
+    first, and how many candidates dedup kept.
+    """
+    pairs = np.array(state.central_nodes, dtype=np.int64).reshape(-1, 2)
+    centrals = np.ascontiguousarray(pairs[:, 0])
+    depths = pairs[:, 1]
+    count = len(centrals)
+    weights = np.ascontiguousarray(weights)
+    slices = _slices(count, config.n_threads)
+    threads = len(slices) > 1
+    with ThreadPoolExecutor(len(slices)) if threads else nullcontext() as pool:
+        run = pool.map if pool is not None else map
+        parts = list(
+            run(
+                lambda bounds: dag.prune_native(
+                    centrals[bounds[0] : bounds[1]],
+                    weights,
+                    config.apply_level_cover,
+                ),
+                slices,
+            )
+        )
+        nodes = np.concatenate([part[0] for part in parts])
+        sizes = np.concatenate([part[1] for part in parts])
+        mass = np.concatenate([part[2] for part in parts])
+        if config.deduplicate:
+            offsets = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            candidate_of = np.full(state.n_nodes, -1, dtype=np.int64)
+            candidate_of[centrals] = np.arange(count, dtype=np.int64)
+            keep = np.empty(count, dtype=np.uint8)
+            list(
+                run(
+                    lambda bounds: dag.minimal_native(
+                        nodes, offsets, candidate_of, bounds[0], bounds[1], keep
+                    ),
+                    slices,
+                )
+            )
+            kept = np.flatnonzero(keep)
+        else:
+            kept = np.arange(count)
+    # d^λ in Python floats (as central_graph_score computes it), one
+    # power per distinct depth; the product with the mass is one IEEE
+    # multiply either way.
+    unique_depths, depth_index = np.unique(depths[kept], return_inverse=True)
+    factors = np.array(
+        [float(depth) ** config.lam for depth in unique_depths.tolist()],
+        dtype=np.float64,
+    )
+    scores = factors[depth_index] * mass[kept]
+    order = np.lexsort((centrals[kept], sizes[kept], scores))[: config.k]
+    return kept[order], sizes[kept[order]], scores[order], len(kept)
+
+
+def _materialise(
+    graph: KnowledgeGraph,
+    state: SearchState,
+    weights: np.ndarray,
+    config: TopDownConfig,
+    dag: HittingDAG,
+    winners: np.ndarray,
+    sizes: np.ndarray,
+    scores: np.ndarray,
+) -> List[CentralGraph]:
+    """Build the selected answers with the per-candidate route's own
+    functions, checking each against the kernel's count and score."""
+    ranked = []
+    for index, size, score in zip(winners.tolist(), sizes.tolist(), scores.tolist()):
+        node, depth = state.central_nodes[index]
+        answer = extract_central_graph(graph, state, node, depth, dag)
+        if config.apply_level_cover:
+            answer = level_cover_prune(answer, state.n_keywords)
+        answer.score = central_graph_score(answer, weights, config.lam)
+        if answer.n_nodes != size or answer.score != score:
+            raise RuntimeError(
+                f"Central Graph {node}: kernel selected {size} nodes with "
+                f"score {score!r}, rebuilt {answer.n_nodes} nodes with "
+                f"score {answer.score!r}"
+            )
+        ranked.append(answer)
+    return ranked

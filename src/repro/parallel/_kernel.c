@@ -32,6 +32,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define LO7 0x7F7F7F7F7F7F7F7FULL
@@ -438,33 +439,13 @@ void build_hitting_dag(
     }
 }
 
-/* Whole Central Graph in one call: the backward closures of `central`
- * over every contributing keyword column's hitting DAG (the columns
- * where the Central Node's hitting level is nonzero): a DFS per
- * column over its predecessor CSR, emitting every (pred, target)
- * hitting-path edge and every reached node, in a single crossing of the
- * ctypes boundary per Central Node.
- *
- * Node dedup happens here (`seen` persists across columns, so
- * out_nodes lists each node once). Pairs are emitted at most once per
- * column but can repeat across columns; the caller dedups the
- * interleaved (pred, target) pairs.
- *
- *   indptr_all   q rows of (n+1): per-column CSR offsets, each 0-based
- *                into its own column's predecessor slice
- *   preds_all    concatenated per-column predecessor arrays
- *   col_offsets  q+1: column c's slice is preds_all[col_offsets[c] ..]
- *   matrix       n x q hitting levels (0 = keyword source: skip column)
- *   visited      n zeroed bytes (per-column membership; rezeroed here)
- *   seen         n zeroed bytes (cross-column membership; rezeroed)
- *   stack        capacity n (DFS scratch)
- *   col_nodes    capacity n (per-column visited list scratch)
- *   out_nodes    capacity n: deduplicated closure nodes
- *   out_pairs    capacity 2 * col_offsets[q], interleaved (pred,
- *                target) pairs
- *   n_out        [0] = node count, [1] = pair count
- */
-void extract_graph(
+/* Backward closure of `central` over every contributing keyword
+ * column's hitting DAG (the columns where the Central Node's hitting
+ * level is nonzero): a DFS per column over its predecessor CSR,
+ * emitting every (pred, target) hitting-path edge and every reached
+ * node.  Shared by extract_graph and prune_central_graphs; the
+ * parameters are extract_graph's. */
+static void central_graph_closure(
     const int64_t* indptr_all,
     const int64_t* preds_all,
     const int64_t* col_offsets,
@@ -522,4 +503,312 @@ void extract_graph(
         seen[out_nodes[i]] = 0;
     n_out[0] = n_nodes;
     n_out[1] = n_pairs;
+}
+
+/* Whole Central Graph in one call: central_graph_closure in a single
+ * crossing of the ctypes boundary per Central Node.
+ *
+ * Node dedup happens here (`seen` persists across columns, so
+ * out_nodes lists each node once). Pairs are emitted at most once per
+ * column but can repeat across columns; the caller dedups the
+ * interleaved (pred, target) pairs.
+ *
+ *   indptr_all   q rows of (n+1): per-column CSR offsets, each 0-based
+ *                into its own column's predecessor slice
+ *   preds_all    concatenated per-column predecessor arrays
+ *   col_offsets  q+1: column c's slice is preds_all[col_offsets[c] ..]
+ *   matrix       n x q hitting levels (0 = keyword source: skip column)
+ *   visited      n zeroed bytes (per-column membership; rezeroed here)
+ *   seen         n zeroed bytes (cross-column membership; rezeroed)
+ *   stack        capacity n (DFS scratch)
+ *   col_nodes    capacity n (per-column visited list scratch)
+ *   out_nodes    capacity n: deduplicated closure nodes
+ *   out_pairs    capacity 2 * col_offsets[q], interleaved (pred,
+ *                target) pairs
+ *   n_out        [0] = node count, [1] = pair count
+ */
+void extract_graph(
+    const int64_t* indptr_all,
+    const int64_t* preds_all,
+    const int64_t* col_offsets,
+    const uint8_t* matrix,
+    int64_t n,
+    int64_t q,
+    int64_t central,
+    uint8_t* visited,
+    uint8_t* seen,
+    int64_t* stack,
+    int64_t* col_nodes,
+    int64_t* out_nodes,
+    int64_t* out_pairs,
+    int64_t* n_out)
+{
+    central_graph_closure(indptr_all, preds_all, col_offsets, matrix, n, q,
+                          central, visited, seen, stack, col_nodes,
+                          out_nodes, out_pairs, n_out);
+}
+
+static int cmp_int64(const void* a, const void* b)
+{
+    const int64_t x = *(const int64_t*)a;
+    const int64_t y = *(const int64_t*)b;
+    return (x > y) - (x < y);
+}
+
+/* Level-cover pruning of one Central Graph (Section V-C), exactly as
+ * top_down.level_cover_prune does it on the Python objects: keyword
+ * nodes (members with at least one hitting level 0) are grouped by how
+ * many keywords they contribute and preserved a whole group at a time,
+ * largest count first, until the Central Node plus the preserved nodes
+ * cover every keyword.  If every keyword node is preserved the graph
+ * is unchanged; otherwise the kept nodes are the forward closure of the
+ * preserved ones over the graph's own (pred, target) edges.
+ *
+ * Rewrites nodes[0 .. m) in place to the kept nodes (unordered) and
+ * returns their count.  `seen` and `local` arrive zeroed / all -1 and
+ * are restored; the other scratch needs no initial contents. */
+static int64_t level_cover_nodes(
+    const uint8_t* matrix,
+    int64_t q,
+    int64_t central,
+    int64_t* nodes,
+    int64_t m,
+    const int64_t* pairs,
+    int64_t n_pairs,
+    uint8_t* seen,
+    int64_t* stack,
+    int64_t* preserved,
+    int64_t* local,
+    int64_t* succ_indptr,
+    int64_t* succ,
+    int64_t* keyword_counts,
+    uint8_t* covered)
+{
+    int64_t n_covered = 0;
+    int64_t max_count = 0;
+    int64_t n_keyword = 0;
+    memset(covered, 0, (size_t)q);
+    for (int64_t c = 0; c < q; ++c) {
+        if (matrix[central * q + c] == 0) {
+            covered[c] = 1;
+            ++n_covered;
+        }
+    }
+    for (int64_t i = 0; i < m; ++i) {
+        int64_t count = 0;
+        if (nodes[i] != central) {
+            const uint8_t* row = matrix + nodes[i] * q;
+            for (int64_t c = 0; c < q; ++c)
+                count += row[c] == 0;
+        }
+        keyword_counts[i] = count;
+        n_keyword += count > 0;
+        if (count > max_count)
+            max_count = count;
+    }
+
+    int64_t n_preserved = 0;
+    seen[central] = 1;
+    preserved[n_preserved++] = central;
+    if (n_covered < q) {
+        for (int64_t level = max_count; level > 0; --level) {
+            for (int64_t i = 0; i < m; ++i) {
+                if (keyword_counts[i] != level)
+                    continue;
+                const int64_t v = nodes[i];
+                seen[v] = 1;
+                preserved[n_preserved++] = v;
+                const uint8_t* row = matrix + v * q;
+                for (int64_t c = 0; c < q; ++c) {
+                    if (row[c] == 0 && !covered[c]) {
+                        covered[c] = 1;
+                        ++n_covered;
+                    }
+                }
+            }
+            if (n_covered == q)
+                break;
+        }
+    }
+
+    if (n_preserved - 1 == n_keyword) {
+        /* Every keyword node survived: nothing can be pruned. */
+        for (int64_t i = 0; i < n_preserved; ++i)
+            seen[preserved[i]] = 0;
+        return m;
+    }
+
+    /* Successor CSR over local ids, then the forward closure. */
+    for (int64_t i = 0; i < m; ++i) {
+        local[nodes[i]] = i;
+        succ_indptr[i + 1] = 0;
+    }
+    succ_indptr[0] = 0;
+    for (int64_t e = 0; e < n_pairs; ++e)
+        ++succ_indptr[local[pairs[2 * e]] + 1];
+    for (int64_t i = 0; i < m; ++i) {
+        succ_indptr[i + 1] += succ_indptr[i];
+        keyword_counts[i] = succ_indptr[i];  /* reused as fill cursor */
+    }
+    for (int64_t e = 0; e < n_pairs; ++e)
+        succ[keyword_counts[local[pairs[2 * e]]]++] = pairs[2 * e + 1];
+
+    int64_t top = 0;
+    for (int64_t i = 0; i < n_preserved; ++i)
+        stack[top++] = preserved[i];
+    while (top) {
+        const int64_t u = stack[--top];
+        const int64_t lu = local[u];
+        for (int64_t e = succ_indptr[lu]; e < succ_indptr[lu + 1]; ++e) {
+            const int64_t v = succ[e];
+            if (!seen[v]) {
+                seen[v] = 1;
+                stack[top++] = v;
+            }
+        }
+    }
+
+    int64_t kept = 0;
+    for (int64_t i = 0; i < m; ++i) {
+        const int64_t v = nodes[i];
+        local[v] = -1;
+        if (seen[v]) {
+            seen[v] = 0;
+            nodes[kept++] = v;
+        }
+    }
+    return kept;
+}
+
+/* Stage two's per-candidate work for a range of Central Nodes, on
+ * arrays: recover each Central Graph (central_graph_closure), apply
+ * level-cover pruning when `level_cover` is nonzero, and write the
+ * final node set sorted ascending together with its Eq. 6 weight mass.
+ *
+ * The mass is a plain sequential double sum in ascending node order,
+ * bit-equal to central_graph_score's sum over sorted(nodes).  The
+ * d^lambda factor is applied by the caller.
+ *
+ *   indptr_all .. q   as extract_graph
+ *   weights           n node weights (float64)
+ *   centrals          n_centrals Central Node ids
+ *   level_cover       0 keeps the extracted node sets unpruned
+ *   visited, seen     n zeroed bytes (rezeroed)
+ *   stack, col_nodes, graph_nodes, keyword_counts
+ *                     capacity n each
+ *   pairs             capacity 2 * col_offsets[q]
+ *   local             n int64, all -1 on entry (restored)
+ *   succ_indptr       capacity n + 1
+ *   succ              capacity col_offsets[q]
+ *   covered           capacity q
+ *   out_nodes         capacity `capacity`: the sorted node sets,
+ *                     concatenated in candidate order
+ *   out_sizes         n_centrals: node count per candidate
+ *   out_mass          n_centrals: weight mass per candidate
+ *
+ * Returns how many candidates (a prefix of `centrals`) were written;
+ * fewer than n_centrals when the next one would overflow `capacity`.
+ * A capacity of at least n always admits one more candidate.
+ */
+int64_t prune_central_graphs(
+    const int64_t* indptr_all,
+    const int64_t* preds_all,
+    const int64_t* col_offsets,
+    const uint8_t* matrix,
+    const double* weights,
+    int64_t n,
+    int64_t q,
+    const int64_t* centrals,
+    int64_t n_centrals,
+    int64_t level_cover,
+    uint8_t* visited,
+    uint8_t* seen,
+    int64_t* stack,
+    int64_t* col_nodes,
+    int64_t* graph_nodes,
+    int64_t* pairs,
+    int64_t* local,
+    int64_t* succ_indptr,
+    int64_t* succ,
+    int64_t* keyword_counts,
+    uint8_t* covered,
+    int64_t* out_nodes,
+    int64_t capacity,
+    int64_t* out_sizes,
+    double* out_mass)
+{
+    int64_t written = 0;
+    int64_t counts[2];
+    for (int64_t j = 0; j < n_centrals; ++j) {
+        const int64_t central = centrals[j];
+        central_graph_closure(indptr_all, preds_all, col_offsets, matrix, n,
+                              q, central, visited, seen, stack, col_nodes,
+                              graph_nodes, pairs, counts);
+        int64_t m = counts[0];
+        if (m == 0)
+            graph_nodes[m++] = central;  /* a source for every keyword */
+        if (level_cover)
+            m = level_cover_nodes(matrix, q, central, graph_nodes, m, pairs,
+                                  counts[1], seen, stack, col_nodes, local,
+                                  succ_indptr, succ, keyword_counts,
+                                  covered);
+        if (written + m > capacity)
+            return j;
+        qsort(graph_nodes, (size_t)m, sizeof(int64_t), cmp_int64);
+        double mass = 0.0;
+        for (int64_t i = 0; i < m; ++i) {
+            mass += weights[graph_nodes[i]];
+            out_nodes[written + i] = graph_nodes[i];
+        }
+        written += m;
+        out_sizes[j] = m;
+        out_mass[j] = mass;
+    }
+    return n_centrals;
+}
+
+/* Containment dedup as minimal elements: candidate g is kept iff no
+ * other candidate's node set is a strict subset of g's.  A strict
+ * subset contains its own Central Node, which is then a member of g,
+ * so only candidates centred on g's members are tested.
+ *
+ *   nodes, offsets  the candidates' sorted node sets, concatenated
+ *                   (candidate g is nodes[offsets[g] .. offsets[g+1]))
+ *   candidate_of    n: the candidate centred on each node, or -1
+ *   lo, hi          the candidate range to decide
+ *   mark            n zeroed bytes (rezeroed)
+ *   keep            out: keep[g] for g in [lo, hi)
+ */
+void minimal_central_graphs(
+    const int64_t* nodes,
+    const int64_t* offsets,
+    const int64_t* candidate_of,
+    int64_t lo,
+    int64_t hi,
+    uint8_t* mark,
+    uint8_t* keep)
+{
+    for (int64_t g = lo; g < hi; ++g) {
+        const int64_t g_lo = offsets[g];
+        const int64_t g_hi = offsets[g + 1];
+        for (int64_t i = g_lo; i < g_hi; ++i)
+            mark[nodes[i]] = 1;
+        int dropped = 0;
+        for (int64_t i = g_lo; i < g_hi && !dropped; ++i) {
+            const int64_t h = candidate_of[nodes[i]];
+            if (h < 0 || h == g)
+                continue;
+            const int64_t h_lo = offsets[h];
+            const int64_t h_hi = offsets[h + 1];
+            if (h_hi - h_lo >= g_hi - g_lo)
+                continue;
+            int64_t j = h_lo;
+            while (j < h_hi && mark[nodes[j]])
+                ++j;
+            dropped = j == h_hi;
+        }
+        for (int64_t i = g_lo; i < g_hi; ++i)
+            mark[nodes[i]] = 0;
+        keep[g] = (uint8_t)!dropped;
+    }
 }

@@ -155,8 +155,9 @@ class NativeKernel:
 
     Exposes the per-chunk ``fused_expand``, the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call), and stage two's ``build_hitting_dag`` and
-    per-Central-Node ``extract_graph``. Every call releases the GIL, so
+    fused into one call), and stage two's ``build_hitting_dag``,
+    per-Central-Node ``extract_graph``, per-range
+    ``prune_central_graphs`` and ``minimal_central_graphs`` (dedup). Every call releases the GIL, so
     concurrent chunk expansions (``ThreadPoolBackend``) overlap on real
     cores.
     """
@@ -168,6 +169,7 @@ class NativeKernel:
         i16 = pointer(np.int16, flags="C_CONTIGUOUS")
         u64 = pointer(np.uint64, flags="C_CONTIGUOUS")
         u8 = pointer(np.uint8, flags="C_CONTIGUOUS")
+        f64 = pointer(np.float64, flags="C_CONTIGUOUS")
 
         fn = library.fused_expand
         fn.restype = ctypes.c_int64
@@ -260,6 +262,50 @@ class NativeKernel:
             for argtype in graph_closure.argtypes
         ]
         self._graph_closure_raw = raw_closure
+
+        prune = library.prune_central_graphs
+        prune.restype = ctypes.c_int64
+        prune.argtypes = [
+            i64,  # indptr_all
+            i64,  # preds_all
+            i64,  # col_offsets
+            u8,  # matrix
+            f64,  # weights
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # q
+            i64,  # centrals
+            ctypes.c_int64,  # n_centrals
+            ctypes.c_int64,  # level_cover
+            u8,  # visited
+            u8,  # seen
+            i64,  # stack
+            i64,  # col_nodes
+            i64,  # graph_nodes
+            i64,  # pairs
+            i64,  # local
+            i64,  # succ_indptr
+            i64,  # succ
+            i64,  # keyword_counts
+            u8,  # covered
+            i64,  # out_nodes
+            ctypes.c_int64,  # capacity
+            i64,  # out_sizes
+            f64,  # out_mass
+        ]
+        self._prune = prune
+
+        minimal = library.minimal_central_graphs
+        minimal.restype = None
+        minimal.argtypes = [
+            i64,  # nodes
+            i64,  # offsets
+            i64,  # candidate_of
+            ctypes.c_int64,  # lo
+            ctypes.c_int64,  # hi
+            u8,  # mark
+            u8,  # keep
+        ]
+        self._minimal = minimal
 
     def expand(
         self,
@@ -475,6 +521,68 @@ class NativeKernel:
             n_out,
             values,
         )
+
+    def prune_central_graphs(
+        self,
+        indptr_all: np.ndarray,
+        preds_all: np.ndarray,
+        col_offsets: np.ndarray,
+        matrix: np.ndarray,
+        weights: np.ndarray,
+        n: int,
+        q: int,
+        centrals: np.ndarray,
+        level_cover: bool,
+        scratch: "tuple[np.ndarray, ...]",
+        out_nodes: np.ndarray,
+        out_sizes: np.ndarray,
+        out_mass: np.ndarray,
+    ) -> int:
+        """Extract, level-cover prune and weigh the Central Graphs of
+        ``centrals`` in one call.
+
+        ``scratch`` is the eleven work arrays of the C prototype, from
+        ``visited`` to ``covered``. Returns how many leading candidates
+        were written: their sorted node sets concatenated in
+        ``out_nodes``, their sizes in ``out_sizes`` and their weight
+        masses in ``out_mass``. Fewer than ``len(centrals)`` means
+        ``out_nodes`` filled up; a capacity of at least ``n`` always
+        admits one more candidate.
+        """
+        return int(
+            self._prune(
+                indptr_all,
+                preds_all,
+                col_offsets,
+                matrix,
+                weights,
+                n,
+                q,
+                centrals,
+                len(centrals),
+                1 if level_cover else 0,
+                *scratch,
+                out_nodes,
+                len(out_nodes),
+                out_sizes,
+                out_mass,
+            )
+        )
+
+    def minimal_central_graphs(
+        self,
+        nodes: np.ndarray,
+        offsets: np.ndarray,
+        candidate_of: np.ndarray,
+        lo: int,
+        hi: int,
+        mark: np.ndarray,
+        keep: np.ndarray,
+    ) -> None:
+        """Containment dedup of candidates ``[lo, hi)``: ``keep[g]``
+        becomes 1 iff no other candidate's node set is a strict subset
+        of candidate ``g``'s. ``mark`` must arrive zeroed."""
+        self._minimal(nodes, offsets, candidate_of, lo, hi, mark, keep)
 
 
 #: Position of ``central`` in ``extract_graph``'s prototype: the one

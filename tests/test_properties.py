@@ -132,11 +132,10 @@ def _all_pairs_dedup(graphs):
     return kept
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_containment_dedup_properties(data):
-    """Output has no strict-superset pair, keeps every minimal set, and is
-    exactly the all-pairs oracle's output (same graphs, same order)."""
+def _draw_dedup_inputs(data):
+    """Up to 60 graphs over nodes 0..10, each containing its Central
+    Node; node sets repeat often, so equal sets and shared Central Nodes
+    both occur."""
     from repro.core.central_graph import CentralGraph
 
     n_graphs = data.draw(st.integers(1, 60))
@@ -154,6 +153,15 @@ def test_containment_dedup_properties(data):
         graphs.append(
             CentralGraph(central, 1, set(members), set(), {})
         )
+    return graphs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_containment_dedup_properties(data):
+    """Output has no strict-superset pair, keeps every minimal set, and is
+    exactly the all-pairs oracle's output (same graphs, same order)."""
+    graphs = _draw_dedup_inputs(data)
     kept = deduplicate_by_containment(graphs)
     oracle = _all_pairs_dedup(graphs)
     assert len(kept) == len(oracle)
@@ -168,6 +176,24 @@ def test_containment_dedup_properties(data):
     for g in graphs:
         if not any(g.nodes > other for other in all_sets):
             assert any(g is kept_graph for kept_graph in kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_containment_dedup_keeps_exactly_the_minimal_elements(data):
+    """A graph is dropped iff some input's node set is a strict subset of
+    its own, whatever the input order: the characterisation the native
+    ``minimal_central_graphs`` kernel implements."""
+    graphs = _draw_dedup_inputs(data)
+    minimal = {
+        id(g)
+        for g in graphs
+        if not any(other.nodes < g.nodes for other in graphs)
+    }
+    assert {id(g) for g in deduplicate_by_containment(graphs)} == minimal
+    shuffled = data.draw(st.permutations(graphs))
+    assert {id(g) for g in deduplicate_by_containment(shuffled)} == minimal
+    assert {id(g) for g in deduplicate_by_containment(graphs[::-1])} == minimal
 
 
 def test_containment_dedup_rejects_graph_without_its_central_node():

@@ -1,11 +1,14 @@
 """Stage two, native vs. NumPy: identical ranked answers.
 
 ``process_top_down`` has two tiers: the compiled hitting-DAG build plus
-one ``extract_graph`` call per Central Node (``native=None``), and the
-NumPy DAG build plus per-level extraction walk (``native=False``). Both
-run here on the same bottom-up state, fuzzed over graph seeds, k, λ and
-the ablation flags, and must rank the same Central Graphs with the same
-depth, node set, edge set and exact Eq. 6 score.
+the array-native ``prune_central_graphs`` / ``minimal_central_graphs``
+kernels, which prune, weigh and deduplicate every candidate and leave
+only the top k to be built as objects (``native=None``), and the NumPy
+DAG build plus the per-candidate Python route (``native=False``). Both
+run here on the same bottom-up state, fuzzed over graph seeds, k, λ,
+the ablation flags and the thread count, and must rank the same Central
+Graphs with the same depth, node set, edge set and exact Eq. 6 score,
+and report the same stage-two counters.
 """
 
 import ctypes
@@ -15,7 +18,15 @@ import numpy as np
 import pytest
 
 from repro.core.bottom_up import BottomUpSearch
-from repro.core.top_down import HittingDAG, TopDownConfig, process_top_down
+from repro.core.scoring import central_graph_score
+from repro.core.top_down import (
+    HittingDAG,
+    TopDownConfig,
+    TopDownCounts,
+    extract_central_graph,
+    level_cover_prune,
+    process_top_down,
+)
 from repro.core.weights import node_weights
 from repro.graph.generators import WikiKBConfig, random_graph, wiki_like_kb
 from repro.parallel import VectorizedBackend
@@ -64,7 +75,8 @@ def _bottom_up(graph, rng):
 
 
 def _ranked(graph, state, weights, native, **knobs):
-    return [
+    counts = TopDownCounts()
+    ranked = [
         (
             answer.central_node,
             answer.depth,
@@ -73,9 +85,14 @@ def _ranked(graph, state, weights, native, **knobs):
             answer.score,
         )
         for answer in process_top_down(
-            graph, state, weights, config=TopDownConfig(native=native, **knobs)
+            graph,
+            state,
+            weights,
+            config=TopDownConfig(native=native, **knobs),
+            counts=counts,
         )
     ]
+    return ranked, (counts.extracted, counts.dedup_dropped)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -88,24 +105,113 @@ def test_native_stage_two_matches_numpy(seed):
     if not state.central_nodes:
         pytest.skip("fuzzed query found no Central Node")
     # The native side must really take the compiled path.
-    assert HittingDAG(graph, state).extract_native(
-        state.central_nodes[0][0]
-    ) is not None
+    assert HittingDAG(graph, state).native
 
-    k = int(rng.integers(1, len(state.central_nodes) + 2))
-    lam = float(rng.choice([0.0, 0.2, 0.5, 1.0, 2.0]))
-    for level_cover, deduplicate, single_path in FLAGS:
-        knobs = dict(
-            k=k,
-            lam=lam,
-            apply_level_cover=level_cover,
-            deduplicate=deduplicate,
-            single_path=single_path,
+    for _ in range(2):
+        k = int(rng.integers(1, len(state.central_nodes) + 2))
+        lam = float(rng.choice([0.0, 0.2, 0.5, 1.0, 2.0]))
+        for level_cover, deduplicate, single_path in FLAGS:
+            knobs = dict(
+                k=k,
+                lam=lam,
+                apply_level_cover=level_cover,
+                deduplicate=deduplicate,
+                single_path=single_path,
+            )
+            numpy = _ranked(graph, state, weights, False, **knobs)
+            assert numpy[0]
+            for n_threads in (1, 4):
+                native = _ranked(
+                    graph, state, weights, None, n_threads=n_threads, **knobs
+                )
+                assert native == numpy, (knobs, n_threads)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_prune_and_mass_match_python_objects(seed):
+    """Per candidate, the kernel's sorted node set and weight mass equal
+    ``level_cover_prune`` + ``central_graph_score`` on the objects, with
+    level cover on and off."""
+    graph = _graph(seed)
+    weights = node_weights(graph)
+    state = _bottom_up(graph, np.random.default_rng(seed * 31 + 7)).state
+    if not state.central_nodes:
+        pytest.skip("fuzzed query found no Central Node")
+    dag = HittingDAG(graph, state)
+    centrals = np.array([c for c, _ in state.central_nodes], dtype=np.int64)
+    for level_cover in (True, False):
+        nodes, sizes, mass = dag.prune_native(centrals, weights, level_cover)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        assert offsets[-1] == len(nodes)
+        for index, (central, depth) in enumerate(state.central_nodes):
+            answer = extract_central_graph(graph, state, central, depth, dag)
+            if level_cover:
+                answer = level_cover_prune(answer, state.n_keywords)
+            own = nodes[offsets[index] : offsets[index + 1]].tolist()
+            assert own == sorted(answer.nodes)
+            # λ = 0 makes the score the bare mass (d^0 = 1, 0^0 = 1).
+            assert float(mass[index]) == central_graph_score(
+                answer, weights, 0.0
+            )
+
+
+def test_kernel_output_grows_past_its_first_buffer():
+    """The concatenated output starts at one graph's worst case (n) and
+    grows by doubling; many candidates on a small graph must overflow it
+    and still come back whole."""
+    graph = random_graph(40, 200, seed=5)
+    weights = node_weights(graph)
+    rng = np.random.default_rng(3)
+    state = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+        [np.unique(rng.integers(0, 40, size=3)) for _ in range(2)],
+        zero_activation(graph),
+        40,
+    ).state
+    dag = HittingDAG(graph, state)
+    centrals = np.array([c for c, _ in state.central_nodes], dtype=np.int64)
+    nodes, sizes, _ = dag.prune_native(centrals, weights, False)
+    assert int(sizes.sum()) == len(nodes) > graph.n_nodes
+    expected = [
+        sorted(extract_central_graph(graph, state, c, d, dag).nodes)
+        for c, d in state.central_nodes
+    ]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    assert [
+        nodes[offsets[i] : offsets[i + 1]].tolist()
+        for i in range(len(centrals))
+    ] == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_minimal_kernel_keeps_exactly_the_minimal_sets(seed):
+    """``minimal_central_graphs`` keeps a candidate iff no other
+    candidate's node set is a strict subset of its own, split over
+    ranges or not."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    centrals = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    sets = []
+    for central in centrals:
+        extra = rng.integers(0, n, size=int(rng.integers(0, 6)))
+        if sets and rng.random() < 0.4:
+            extra = np.concatenate((extra, sets[int(rng.integers(len(sets)))]))
+        sets.append(np.unique(np.concatenate(([central], extra))))
+    nodes = np.concatenate(sets).astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum([len(x) for x in sets])))
+    candidate_of = np.full(n, -1, dtype=np.int64)
+    candidate_of[centrals] = np.arange(len(centrals))
+    expected = [
+        not any(set(other) < set(own) for other in sets)
+        for own in sets
+    ]
+    middle = len(sets) // 2
+    keep = np.full(len(sets), 7, dtype=np.uint8)
+    for lo, hi in ((0, middle), (middle, len(sets))):
+        _native_kernel().minimal_central_graphs(
+            nodes, offsets.astype(np.int64), candidate_of, lo, hi,
+            np.zeros(n, dtype=np.uint8), keep,
         )
-        native = _ranked(graph, state, weights, None, **knobs)
-        numpy = _ranked(graph, state, weights, False, **knobs)
-        assert native == numpy, knobs
-        assert native
+    assert keep.tolist() == [int(flag) for flag in expected]
 
 
 def _unbound_scratch(n, total):
@@ -147,8 +253,9 @@ def test_bound_extract_matches_unbound_call(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_threaded_extraction_matches_serial(seed):
-    """Each extraction thread binds its own scratch: four threads rank
-    exactly what one does."""
+    """Each thread's slice of the Central Node range runs the kernel on
+    its own scratch: four threads rank every candidate exactly as one
+    does."""
     graph = _graph(seed)
     weights = node_weights(graph)
     state = _bottom_up(graph, np.random.default_rng(seed * 31 + 7)).state

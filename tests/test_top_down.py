@@ -264,3 +264,31 @@ def test_extraction_edges_satisfy_theorem_v4(fig1):
             if target_level == expected:
                 consistent_for_some_keyword = True
         assert consistent_for_some_keyword, (pred, target)
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_process_top_down_rejects_bad_lambda_without_candidates(lam):
+    """λ is checked before stage two runs, so a query that finds no
+    Central Node (keywords in different components) still rejects it."""
+    graph = random_graph(40, 60, seed=3)
+    result = _search(graph, ([0], [23]), k=3)
+    assert not result.state.central_nodes
+    weights = np.ones(graph.n_nodes)
+    assert process_top_down(graph, result.state, weights, TopDownConfig(k=3)) == []
+    with pytest.raises(ValueError, match="lambda"):
+        process_top_down(
+            graph, result.state, weights, TopDownConfig(k=3, lam=lam)
+        )
+
+
+@pytest.mark.parametrize("native", [None, False])
+def test_process_top_down_rejects_nan_lambda_with_candidates(chain5, native):
+    result = _search(chain5, ([0, 2], [2, 4]), k=3)
+    assert result.state.central_nodes
+    with pytest.raises(ValueError, match="lambda"):
+        process_top_down(
+            chain5,
+            result.state,
+            np.ones(5),
+            TopDownConfig(k=3, lam=float("nan"), native=native),
+        )
